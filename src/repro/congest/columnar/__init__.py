@@ -17,8 +17,9 @@ seams:
 * :mod:`~repro.congest.columnar.transport` — the ``ColumnarTransport``
   backend (vectorized broadcast routing and chunked-round accounting);
 * :mod:`~repro.congest.columnar.sweep` — the vectorized
-  ``EstimateSimilarity`` buddy sweep driving the ACD, the dominant compute
-  of every large coloring run;
+  ``EstimateSimilarity`` sweep behind every graph-wide similarity caller
+  (the ACD buddy test, the dominant compute of every large coloring run,
+  plus triangle detection and sparsity estimation);
 * :mod:`~repro.congest.columnar.faults` — vectorized twins of the fault
   layer's per-edge drop/corrupt/crash decisions (pure functions of
   ``(master_seed, round, edge)``, matching ``FaultyTransport`` bit-for-bit);
@@ -28,7 +29,8 @@ seams:
 numpy is an *optional* dependency of the repo as a whole: every module here
 degrades to ``HAVE_NUMPY = False`` importably, and only constructing the
 columnar backend (or calling a kernel) raises the clean :class:`ImportError`
-below.  The dict/batch/slot backends never touch this package.
+below.  On the dict/batch/slot backends the only call into this package is
+the sweep's own decline check, which returns before any numpy use.
 """
 
 from __future__ import annotations

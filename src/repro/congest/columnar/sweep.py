@@ -1,12 +1,17 @@
-"""Vectorized buddy sweep: ``EstimateSimilarity`` over all candidate edges.
+"""Vectorized ``EstimateSimilarity`` over all requested edges at once.
 
-This is the columnar backend's reason to exist: the graph-wide buddy test of
-the ACD (Section 4.2) dominates every large coloring run (>50% of wall-clock
-at n=50k on the slot backend), and its inner kernel — splitmix64 hashing of
-every scaled neighborhood element, per edge — vectorizes exactly.
+Every graph-wide ``EstimateSimilarity`` run on the columnar backend goes
+through :func:`columnar_similarity_estimates`:
+:func:`repro.sampling.similarity.estimate_similarity_on_edges` dispatches to
+it before its scalar loop, so triangle detection, global and local sparsity
+and the ACD buddy test (Section 4.2, through the thresholding wrapper
+:func:`columnar_buddy_edges`) all share one kernel.  The ACD sweep dominates
+every large coloring run and the per-edge sweep is nearly all of triangle
+detection; its inner kernel — splitmix64 hashing of every scaled
+neighborhood element, per edge — vectorizes exactly.
 
-Byte-identity with :func:`repro.sampling.similarity.estimate_similarity_on_
-edges` + the ACD's threshold loop is the load-bearing contract:
+Byte-identity with the scalar ``estimate_similarity_on_edges`` is the
+load-bearing contract:
 
 * the shared hash-function *index* per edge comes from the same SHA-256
   seeded ``random.Random`` stream (``RngStream.for_edge``), replayed here
@@ -14,17 +19,25 @@ edges` + the ACD's threshold loop is the load-bearing contract:
   ``Random(x)``) — this part is inherently scalar;
 * ledger records replay ``exchange_chunked`` on the same label/size
   multisets (``{label}:index`` then ``{label}:indicator``), through the
-  transport's vectorized chunk accounting;
+  transport's vectorized chunk accounting.  The reference keys its payloads
+  by directed pair, so a repeated or reversed request of one edge is
+  charged once: requests are deduplicated per unordered pair before any
+  ledger effect, and every requested orientation still gets its result;
 * hash values, low-unique filtering and shared-value counting run as flat
   uint64 kernels (:mod:`~repro.congest.columnar.kernels`) over a CSR layout
   of the neighborhood element keys — per-endpoint value multisets are
   reduced by a packed ``(endpoint << 32) | value`` unique/count pass instead
-  of per-edge Python dicts;
-* estimates and the buddy threshold are evaluated in float64, which matches
-  Python exactly because every operand is below 2**53 (guarded below — the
-  sweep declines, returning ``None`` before any ledger effect, if the
-  parameter regime would break the packing or the float reproduction, and
-  the caller falls back to the scalar reference).
+  of per-edge Python dicts.  The pass runs in blocks of at most
+  ``_BLOCK_ELEMENTS`` scaled elements, which bounds its temporary arrays;
+  blocks partition the edge list, so results do not depend on block size;
+* estimates are evaluated in float64, which matches Python exactly because
+  every operand is below 2**53.
+
+The kernel declines — returns ``None`` before any ledger effect, and the
+caller takes the scalar reference path — when the transport is not
+columnar (fault-wrapped transports are not), when a payload-digesting
+tracer is attached, or when the parameter regime would break the packing or
+the float reproduction (λ ≥ 2**32 or σ·λ ≥ 2**53).
 
 The reference implementation ignores the delivered inboxes of both rounds
 (only the ledger charge and the locally-computed hash sets matter), so no
@@ -35,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 try:
     import numpy as np
@@ -53,14 +66,33 @@ from repro.hashing.representative import RepresentativeHashFamily
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-#: Cap on scaled elements hashed per vector block (bounds temp-array RSS to a
-#: few hundred MB; blocks partition the edge list, results are per-edge).
-_BLOCK_ELEMENTS = 1 << 22
+#: Cap on scaled elements hashed per vector block.  Blocks partition the edge
+#: list and results are per-edge, so the cap only bounds the block's
+#: temporary arrays (128 KB each, ~2 MB live); larger blocks fragmented the
+#: malloc heap (DESIGN.md, "One similarity sweep").
+_BLOCK_ELEMENTS = 1 << 14
 
 # Packing guards: endpoint-local hash values share a uint64 with a 32-bit
 # endpoint id, and estimates must reproduce Python float division exactly.
 _MAX_LAM = 1 << 32
 _EXACT_FLOAT = 1 << 53
+
+
+class SweepEstimates(NamedTuple):
+    """Per-edge outputs of one sweep; row ``i`` belongs to ``edges[i]``.
+
+    ``edges`` is the requested edge list (as tuples, duplicates kept).  The
+    columns hold the fields of :class:`~repro.sampling.similarity.
+    SimilarityResult`: an edge with an empty side has estimate 0, scale 1,
+    σ = λ = 0 and 1 bit, exactly like the reference.
+    """
+
+    edges: List[Edge]
+    estimates: "np.ndarray"  # float64
+    bits: "np.ndarray"       # int64: index bits + 2σ
+    scale: "np.ndarray"      # int64: k
+    sigma: "np.ndarray"      # int64
+    lam: "np.ndarray"        # int64
 
 
 def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
@@ -79,23 +111,20 @@ def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
     return blocks
 
 
-def columnar_buddy_edges(
+def columnar_similarity_estimates(
     network,
     sets: Mapping[Node, Set[Hashable]],
-    degrees: Mapping[Node, int],
     edges: List[Edge],
     params,
     seed: int,
     label: str,
-    threshold_coeff: float,
-) -> Optional[Set[Edge]]:
-    """Buddy edges via the vectorized sweep, or ``None`` to decline.
+) -> Optional[SweepEstimates]:
+    """``estimate_similarity_on_edges`` as array programs, or ``None`` to decline.
 
-    Produces exactly the set the caller would get from
-    ``estimate_similarity_on_edges`` + ``estimate >= threshold_coeff *
-    min(degrees[u], degrees[v])``, with identical ledger records.  Declines
-    (before touching the ledger) when the transport is not columnar or the
-    similarity parameters leave the exactly-reproducible regime.
+    Produces the estimates (and the other result fields) the scalar sweep
+    would return for every requested edge, with identical ledger records.
+    Declines (before touching the ledger) in the cases listed in the module
+    docstring.
     """
     transport = network.transport
     if not getattr(transport, "supports_columnar_sweep", False):
@@ -111,8 +140,9 @@ def columnar_buddy_edges(
 
     # ---------------------------------------------------------------- loop A
     # Scalar per-edge setup: set sizes, scale factor k, family, and the
-    # SHA-seeded index draw.  Mirrors the reference's per-sweep caches; no
-    # ledger effect yet, so declining below stays side-effect free.
+    # SHA-seeded index draw, once per unordered pair.  Mirrors the
+    # reference's per-sweep caches; no ledger effect yet, so declining below
+    # stays side-effect free.
     node_sets: Dict[Node, Set[Hashable]] = {}
     families: Dict[int, RepresentativeHashFamily] = {}
     k_cache: Dict[int, int] = {}
@@ -125,9 +155,11 @@ def columnar_buddy_edges(
     rng = random.Random()
     sha256 = hashlib.sha256
 
-    empties: List[int] = []
-    positions: List[int] = []
-    validate_pairs: List[Tuple[Node, Node]] = []
+    # Requested edge i reads row slots[i] of the per-pair columns; row -1 is
+    # the empty-set result appended after the sweep.
+    slots: List[int] = []
+    pair_slot: Dict[Edge, int] = {}
+    validate_pairs: List[Edge] = []
     eu_list: List[int] = []
     ev_list: List[int] = []
     k_list: List[int] = []
@@ -136,7 +168,6 @@ def columnar_buddy_edges(
     fseed_list: List[int] = []
     index_list: List[int] = []
     ibits_list: List[int] = []
-    mindeg_list: List[int] = []
 
     def _set_of(node: Node) -> Set[Hashable]:
         members = node_sets.get(node)
@@ -161,11 +192,26 @@ def columnar_buddy_edges(
             local_nodes.append(node)
         return slot
 
-    for pos, (u, v) in enumerate(edges):
+    for u, v in edges:
         set_u = _set_of(u)
         set_v = _set_of(v)
         if not set_u or not set_v:
-            empties.append(pos)
+            slots.append(-1)
+            continue
+        # The reference keys the index payload by (sender, receiver), the
+        # endpoint with the smaller repr sending; both indicator keys of a
+        # reversed request coincide with the original's.
+        ru, rru = _reprs_of(u)
+        rv, rrv = _reprs_of(v)
+        if ru <= rv:
+            pair = (u, v)
+            key_repr = f"({rru}, {rrv})"
+        else:
+            pair = (v, u)
+            key_repr = f"({rrv}, {rru})"
+        slot = pair_slot.get(pair)
+        if slot is not None:
+            slots.append(slot)
             continue
         du = len(set_u)
         dv = len(set_v)
@@ -184,22 +230,16 @@ def columnar_buddy_edges(
         # RngStream(seed).for_edge(u, v, label) -> Random(sha256 digest of
         # "\x1f".join(repr(p) for p in (seed, "edge", sorted-repr-pair,
         # label))), replayed with one reused Random (seed(x) == Random(x)).
-        ru, rru = _reprs_of(u)
-        rv, rrv = _reprs_of(v)
-        if ru <= rv:
-            key_repr = f"({rru}, {rrv})"
-            sender, receiver = u, v
-        else:
-            key_repr = f"({rrv}, {rru})"
-            sender, receiver = v, u
         digest = sha256(
             "\x1f".join((seed_repr, "'edge'", key_repr, label_repr)).encode("utf-8")
         ).digest()
         rng.seed(int.from_bytes(digest[:8], "big"))
         index = rng.randrange(family.size)
 
-        positions.append(pos)
-        validate_pairs.append((sender, receiver))
+        slot = len(validate_pairs)
+        pair_slot[pair] = slot
+        slots.append(slot)
+        validate_pairs.append(pair)
         eu_list.append(_local_of(u))
         ev_list.append(_local_of(v))
         k_list.append(k)
@@ -208,8 +248,6 @@ def columnar_buddy_edges(
         fseed_list.append(family.family_seed)
         index_list.append(index)
         ibits_list.append(family.index_bits)
-        mindeg = min(degrees[u], degrees[v])
-        mindeg_list.append(mindeg)
 
     # Validation, in the reference's order (the index-payload round validates
     # every participating edge before anything is charged).
@@ -220,11 +258,13 @@ def columnar_buddy_edges(
             transport._validate_edge(sender, receiver)  # canonical ProtocolError
 
     # Round 1: the hash-function index (log F bits per edge, one direction).
-    transport.charge_chunked_sizes(
-        f"{label}:index", np.array(ibits_list, dtype=np.int64)
-    )
+    ibits = np.array(ibits_list, dtype=np.int64)
+    transport.charge_chunked_sizes(f"{label}:index", ibits)
 
-    count = len(positions)
+    count = len(validate_pairs)
+    k_arr = np.array(k_list, dtype=np.int64)
+    lam_i64 = np.array(lam_list, dtype=np.int64)
+    sigma_i64 = np.array(sigma_list, dtype=np.int64)
     shared_counts = np.zeros(count, dtype=np.int64)
     if count:
         # CSR layout of the participating neighborhoods' element keys.
@@ -238,9 +278,6 @@ def columnar_buddy_edges(
 
         eu = np.array(eu_list, dtype=np.int64)
         ev = np.array(ev_list, dtype=np.int64)
-        k_arr = np.array(k_list, dtype=np.int64)
-        lam_i64 = np.array(lam_list, dtype=np.int64)
-        sigma_i64 = np.array(sigma_list, dtype=np.int64)
         lam_u64 = lam_i64.astype(np.uint64)
         sigma_u64 = sigma_i64.astype(np.uint64)
         prefixes = member_prefixes_vec(
@@ -307,24 +344,51 @@ def columnar_buddy_edges(
 
     # Round 2: both endpoints' σ-bit indicators (two directed messages per
     # participating edge, max(1, σ) bits each — σ is already >= 1).
-    if count:
-        indicator_sizes = np.repeat(np.maximum(sigma_i64, 1), 2)
-    else:
-        indicator_sizes = np.empty(0, dtype=np.int64)
-    transport.charge_chunked_sizes(f"{label}:indicator", indicator_sizes)
+    transport.charge_chunked_sizes(
+        f"{label}:indicator", np.repeat(np.maximum(sigma_i64, 1), 2)
+    )
 
-    # Estimates and the buddy threshold, in float64 == Python float exactly
-    # (all operands < 2**53; int/int true division is correctly rounded in
-    # both, so the results are bit-identical to the scalar loop).
-    buddies: Set[Edge] = set()
-    if count:
-        estimates = (shared_counts * lam_i64).astype(np.float64)
-        estimates /= (sigma_i64 * k_arr).astype(np.float64)
-        thresholds = threshold_coeff * np.array(mindeg_list, dtype=np.float64)
-        for i in np.flatnonzero(estimates >= thresholds).tolist():
-            buddies.add(edges[positions[i]])
-    for pos in empties:
-        u, v = edges[pos]
-        if 0.0 >= threshold_coeff * min(degrees[u], degrees[v]):
-            buddies.add((u, v))
-    return buddies
+    # Estimates in float64 == Python float exactly (all operands < 2**53;
+    # int/int true division is correctly rounded in both, so the results are
+    # bit-identical to the scalar loop).  Each column gets the empty-set
+    # result as its last row, which the -1 slots select.
+    estimates = (shared_counts * lam_i64).astype(np.float64)
+    estimates /= (sigma_i64 * k_arr).astype(np.float64)
+    rows = np.array(slots, dtype=np.int64)
+    return SweepEstimates(
+        edges=edges,
+        estimates=np.append(estimates, 0.0)[rows],
+        bits=np.append(ibits + 2 * sigma_i64, 1)[rows],
+        scale=np.append(k_arr, 1)[rows],
+        sigma=np.append(sigma_i64, 0)[rows],
+        lam=np.append(lam_i64, 0)[rows],
+    )
+
+
+def columnar_buddy_edges(
+    network,
+    sets: Mapping[Node, Set[Hashable]],
+    degrees: Mapping[Node, int],
+    edges: List[Edge],
+    params,
+    seed: int,
+    label: str,
+    threshold_coeff: float,
+) -> Optional[Set[Edge]]:
+    """Buddy edges via the vectorized sweep, or ``None`` to decline.
+
+    Produces exactly the set the caller would get from
+    ``estimate_similarity_on_edges`` + ``estimate >= threshold_coeff *
+    min(degrees[u], degrees[v])``, with identical ledger records.  Declines
+    whenever :func:`columnar_similarity_estimates` does.
+    """
+    sweep = columnar_similarity_estimates(network, sets, edges, params, seed, label)
+    if sweep is None:
+        return None
+    # float64 products of small ints equal the Python float threshold.
+    mindeg = np.fromiter(
+        (min(degrees[u], degrees[v]) for u, v in sweep.edges),
+        dtype=np.float64, count=len(sweep.edges),
+    )
+    hits = np.flatnonzero(sweep.estimates >= threshold_coeff * mindeg)
+    return {sweep.edges[i] for i in hits.tolist()}

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.congest.bandwidth import index_message
 from repro.congest.message import Message
@@ -121,7 +121,6 @@ class SimilarityResult:
     scale_factor: int
     sigma: int
     lam: int
-    shared_hash_values: FrozenSet[int]
 
     def error_against(self, true_intersection: int) -> float:
         return abs(self.estimate - true_intersection)
@@ -186,7 +185,6 @@ def estimate_similarity(
             scale_factor=1,
             sigma=0,
             lam=0,
-            shared_hash_values=frozenset(),
         )
     rng = rng or random.Random(params.seed)
     max_size = max(len(set_u), len(set_v))
@@ -199,8 +197,7 @@ def estimate_similarity(
 
     hashes_u = _low_unique_hashes(h, scaled_u, sigma)
     hashes_v = _low_unique_hashes(h, scaled_v, sigma)
-    shared = frozenset(hashes_u & hashes_v)
-    estimate = len(shared) * family.lam / (sigma * k)
+    estimate = len(hashes_u & hashes_v) * family.lam / (sigma * k)
 
     bits = family.index_bits + 2 * sigma
     return SimilarityResult(
@@ -209,7 +206,6 @@ def estimate_similarity(
         scale_factor=k,
         sigma=sigma,
         lam=family.lam,
-        shared_hash_values=shared,
     )
 
 
@@ -228,10 +224,32 @@ def estimate_similarity_on_edges(
     index, one synchronous exchange of the ``σ``-bit indicators), which is the
     point of the paper's construction.  Results are keyed by the edge in the
     orientation given (``(u, v)`` and ``(v, u)`` would hold the same result).
+
+    On the columnar backend the whole sweep runs as array programs
+    (:mod:`repro.congest.columnar.sweep`) with identical results and ledger
+    records; the scalar loop below is the reference it falls back to when
+    that kernel declines.
     """
     if edges is None:
         edges = list(network.graph.edges())
     edges = [tuple(edge) for edge in edges]
+    if getattr(network.transport, "supports_columnar_sweep", False):
+        from repro.congest.columnar.sweep import columnar_similarity_estimates
+
+        sweep = columnar_similarity_estimates(
+            network, sets, edges, params=params, seed=seed, label=label
+        )
+        if sweep is not None:
+            return {
+                edge: SimilarityResult(
+                    estimate=estimate, bits_exchanged=bits, scale_factor=k,
+                    sigma=sigma, lam=lam,
+                )
+                for edge, estimate, bits, k, sigma, lam in zip(
+                    edges, sweep.estimates.tolist(), sweep.bits.tolist(),
+                    sweep.scale.tolist(), sweep.sigma.tolist(), sweep.lam.tolist(),
+                )
+            }
     stream = RngStream(seed)
 
     # Per-sweep caches.  A node of degree d participates in up to d requested
@@ -355,19 +373,16 @@ def estimate_similarity_on_edges(
                 scale_factor=1,
                 sigma=0,
                 lam=0,
-                shared_hash_values=frozenset(),
             )
             continue
         k, family, _index = state
         hashes_u, hashes_v = per_edge_hashes[(u, v)]
-        shared = frozenset(hashes_u & hashes_v)
-        estimate = len(shared) * family.lam / (family.sigma * k)
+        estimate = len(hashes_u & hashes_v) * family.lam / (family.sigma * k)
         results[(u, v)] = SimilarityResult(
             estimate=estimate,
             bits_exchanged=family.index_bits + 2 * family.sigma,
             scale_factor=k,
             sigma=family.sigma,
             lam=family.lam,
-            shared_hash_values=shared,
         )
     return results

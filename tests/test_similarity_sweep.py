@@ -1,0 +1,289 @@
+"""The columnar ``EstimateSimilarity`` sweep against the scalar reference.
+
+``estimate_similarity_on_edges`` hands every sweep on the columnar backend to
+:func:`repro.congest.columnar.sweep.columnar_similarity_estimates`.  Its
+contract (DESIGN.md "Columnar core invariants") is byte-identity with the
+scalar loop: the same per-edge results in the same order, the same flagged
+sets downstream, and the same ``records`` ledger.  This module checks that
+contract through every caller — triangle detection, global and local
+sparsity, the raw sweep — and checks that every decline path (payload
+digests, fault plans, λ ≥ 2**32) falls back to the reference exactly.
+"""
+
+from __future__ import annotations
+
+import random
+
+import networkx as nx
+import pytest
+
+pytest.importorskip("numpy")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.congest.columnar.sweep as sweep_mod
+import repro.shard.sweep as shard_sweep_mod
+from repro.congest import Network
+from repro.graphs import ring_of_cliques
+from repro.graphs.generators import triangle_rich_graph
+from repro.obs.forensics import DigestTracer
+from repro.sampling import (
+    SimilarityParameters,
+    detect_triangle_rich_edges,
+    estimate_global_sparsity,
+    estimate_local_sparsity,
+    estimate_similarity_on_edges,
+)
+
+BACKENDS = ("dict", "slot", "columnar")
+PARAMS = SimilarityParameters.practical(eps=0.3, seed=4)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the columnar kernel's calls and how many of them declined."""
+    calls = {"ran": 0, "declined": 0}
+    original = sweep_mod.columnar_similarity_estimates
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls["declined" if result is None else "ran"] += 1
+        return result
+
+    monkeypatch.setattr(sweep_mod, "columnar_similarity_estimates", spy)
+    return calls
+
+
+def _graph():
+    return triangle_rich_graph(n=60, background_p=0.06, planted_cliques=2,
+                               clique_size=14, seed=5).graph
+
+
+def _neighborhoods(graph):
+    return {v: set(graph.neighbors(v)) for v in graph.nodes()}
+
+
+def _run_all(graph, call, **network_kwargs):
+    """Run ``call(network)`` on every backend; return (outputs, networks)."""
+    outputs, networks = [], []
+    for backend in BACKENDS:
+        net = Network(graph, backend=backend, ledger="records", **network_kwargs)
+        outputs.append(call(net))
+        networks.append(net)
+    return outputs, networks
+
+
+def _assert_same(outputs, networks):
+    reference, ref_net = outputs[0], networks[0]
+    for output, net in zip(outputs[1:], networks[1:]):
+        assert output == reference, net.backend
+        assert net.ledger.records == ref_net.ledger.records, net.backend
+
+
+def _items(results):
+    """Results as an ordered list: key order is part of the contract."""
+    return list(results.items())
+
+
+class TestCallerEquivalence:
+    def test_raw_sweep(self, kernel_calls):
+        graph = _graph()
+        sets = _neighborhoods(graph)
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, params=PARAMS, seed=9)))
+        _assert_same(outputs, networks)
+        assert kernel_calls == {"ran": 1, "declined": 0}
+
+    def test_triangle_detection(self, kernel_calls):
+        graph = _graph()
+
+        def detect(net):
+            result = detect_triangle_rich_edges(net, eps=0.3, seed=2)
+            return (_items(result.estimates), result.flagged, result.rounds_used,
+                    _items(result.edge_results))
+
+        outputs, networks = _run_all(graph, detect)
+        _assert_same(outputs, networks)
+        assert outputs[0][1]  # the planted cliques are flagged
+        assert kernel_calls == {"ran": 1, "declined": 0}
+
+    @pytest.mark.parametrize("estimator", [estimate_global_sparsity,
+                                           estimate_local_sparsity])
+    def test_sparsity(self, kernel_calls, estimator):
+        graph = _graph()
+
+        def estimate(net):
+            result = estimator(net, eps=0.3, seed=3)
+            return (_items(result.estimates), result.reliable,
+                    _items(result.edge_similarities), result.rounds_used)
+
+        outputs, networks = _run_all(graph, estimate)
+        _assert_same(outputs, networks)
+        assert kernel_calls == {"ran": 1, "declined": 0}
+
+    def test_empty_sets_and_subset_of_edges(self):
+        graph = ring_of_cliques(4, 5)
+        sets = _neighborhoods(graph)
+        for node in list(sets)[::3]:
+            sets[node] = set()
+        edges = list(graph.edges())[::2]
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, edges=edges, params=PARAMS,
+                                         seed=1)))
+        _assert_same(outputs, networks)
+        assert any(result.sigma == 0 for _, result in outputs[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.booleans()), min_size=0, max_size=40))
+    def test_random_requests(self, seed, picks):
+        graph = nx.gnp_random_graph(18, 0.35, seed=seed % 97)
+        edges = list(graph.edges())
+        if not edges:
+            return
+        requested = [edges[i % len(edges)][::-1] if flip else edges[i % len(edges)]
+                     for i, flip in picks]
+        sets = _neighborhoods(graph)
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, edges=requested,
+                                         params=PARAMS, seed=seed)))
+        _assert_same(outputs, networks)
+
+
+class TestDuplicateRequests:
+    def test_repeated_and_reversed_edges_charged_once(self, kernel_calls):
+        # Regression: the columnar sweep used to charge one index message and
+        # two indicators per *requested* edge (167,427 bits here against the
+        # reference's 136,422); the reference charges each unordered edge once.
+        graph = nx.complete_graph(12)
+        edges = list(graph.edges())
+        rng = random.Random(3)
+        extra = [rng.choice(edges) for _ in range(15)]
+        extra = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(extra)]
+        requested = edges + extra
+        sets = {v: set(graph.neighbors(v)) | {v} for v in graph}
+
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, edges=requested,
+                                         params=PARAMS, seed=9, label="x")))
+        _assert_same(outputs, networks)
+        assert networks[0].ledger.total_bits == 136_422
+        # Every requested orientation gets its (symmetric) result.
+        results = dict(outputs[-1])
+        assert set(results) == set(requested)
+        for u, v in extra:
+            assert results[(u, v)] == results.get((v, u), results[(u, v)])
+
+        deduped = Network(graph, backend="columnar", ledger="records")
+        estimate_similarity_on_edges(deduped, sets, edges=edges, params=PARAMS,
+                                     seed=9, label="x")
+        assert deduped.ledger.records == networks[-1].ledger.records
+        assert kernel_calls == {"ran": 2, "declined": 0}
+
+    def test_buddy_wrapper_matches_thresholded_reference(self):
+        graph = nx.complete_graph(12)
+        edges = list(graph.edges())
+        requested = edges + [(v, u) for u, v in edges[:7]] + edges[:5]
+        sets = {v: set(graph.neighbors(v)) | {v} for v in graph}
+        degrees = dict(graph.degree())
+
+        reference = Network(graph, backend="dict", ledger="records")
+        results = estimate_similarity_on_edges(reference, sets, edges=requested,
+                                               params=PARAMS, seed=9, label="b")
+        expected = {(u, v) for (u, v), r in results.items()
+                    if r.estimate >= 0.7 * min(degrees[u], degrees[v])}
+        net = Network(graph, backend="columnar", ledger="records")
+        buddies = sweep_mod.columnar_buddy_edges(
+            net, sets, degrees, requested, PARAMS, 9, "b", threshold_coeff=0.7)
+        assert buddies == expected and expected
+        assert net.ledger.records == reference.ledger.records
+
+
+class TestDeclinePaths:
+    def test_digest_tracer(self, kernel_calls):
+        graph = _graph()
+        sets = _neighborhoods(graph)
+        outputs, networks, streams = [], [], []
+        for backend in BACKENDS:
+            tracer = DigestTracer()
+            net = Network(graph, backend=backend, ledger="records", tracer=tracer)
+            outputs.append(_items(estimate_similarity_on_edges(
+                net, sets, params=PARAMS, seed=9)))
+            networks.append(net)
+            tracer.close()
+            streams.append(tracer.events)
+        _assert_same(outputs, networks)
+        assert all(stream == streams[0] for stream in streams[1:])
+        assert kernel_calls == {"ran": 0, "declined": 1}
+        net = Network(graph, backend="columnar", tracer=DigestTracer())
+        assert sweep_mod.columnar_similarity_estimates(
+            net, sets, list(graph.edges()), PARAMS, 9, "x") is None
+        assert net.ledger.rounds == 0
+
+    def test_fault_plan(self):
+        graph = _graph()
+        sets = _neighborhoods(graph)
+        faults = {"drop": 0.1, "corrupt": 1e-3}
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, params=PARAMS, seed=9)),
+            faults=faults)
+        _assert_same(outputs, networks)
+        assert networks[-1].backend == "columnar+faults"
+        assert networks[-1].transport.fault_stats == networks[0].transport.fault_stats
+
+    def test_lambda_beyond_packing_range(self, kernel_calls):
+        graph = ring_of_cliques(3, 5)
+        sets = _neighborhoods(graph)
+        params = SimilarityParameters(eps=1e-9, nu=0.1, max_scale=1,
+                                      sigma_cap=64, seed=1)
+        assert params.family(5).lam >= 1 << 32
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, params=params, seed=2)))
+        _assert_same(outputs, networks)
+        assert kernel_calls == {"ran": 0, "declined": 1}
+
+    def test_sharded_columnar_takes_the_kernel(self, kernel_calls, monkeypatch):
+        monkeypatch.setattr(shard_sweep_mod, "MIN_SHARDED_WORK", 0)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the shard pool must not run on columnar")
+
+        monkeypatch.setattr(shard_sweep_mod, "sharded_edge_hashes", no_pool)
+        graph = _graph()
+        sets = _neighborhoods(graph)
+        reference = Network(graph, backend="dict", ledger="records")
+        expected = _items(estimate_similarity_on_edges(reference, sets,
+                                                       params=PARAMS, seed=9))
+        net = Network(graph, backend="columnar", ledger="records", shards=2)
+        got = _items(estimate_similarity_on_edges(net, sets, params=PARAMS, seed=9))
+        assert got == expected
+        assert net.ledger.records == reference.ledger.records
+        assert kernel_calls == {"ran": 1, "declined": 0}
+
+
+def test_block_partition_does_not_change_results(monkeypatch):
+    graph = _graph()
+    sets = _neighborhoods(graph)
+    edges = list(graph.edges())
+
+    def sweep():
+        net = Network(graph, backend="columnar", ledger="records")
+        out = sweep_mod.columnar_similarity_estimates(net, sets, edges, PARAMS, 9, "x")
+        return [column.tolist() for column in out[1:]], net.ledger.records
+
+    blocks = []
+    original = sweep_mod._block_ranges
+
+    def counting(work):
+        ranges = original(work)
+        blocks.append(len(ranges))
+        return ranges
+
+    monkeypatch.setattr(sweep_mod, "_block_ranges", counting)
+    monkeypatch.setattr(sweep_mod, "_BLOCK_ELEMENTS", 1 << 40)
+    one_block = sweep()
+    monkeypatch.setattr(sweep_mod, "_BLOCK_ELEMENTS", 64)
+    many_blocks = sweep()
+    assert blocks[0] == 1 and blocks[1] > 10
+    assert many_blocks == one_block
