@@ -540,8 +540,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         summarize_trace,
     )
     from repro.obs.analytics import (
-        detect_trends, load_runs, render_report, shard_balance,
-        suite_overview_rows, trend_rows,
+        detect_trends, load_runs, render_report, suite_overview_rows,
+        trend_rows,
     )
     from repro.experiments.compare import gate_passes
 
@@ -600,11 +600,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print()
         print(render_timeline(summarize_trace(events),
                               title=f"phase timeline: {name}"))
-        balance = shard_balance(events)
-        if balance:
-            print(f"shard balance: {balance['shards']} shards, "
-                  f"imbalance ratio {balance['imbalance_ratio']}, "
-                  f"cut fraction {balance['cut_fraction']}")
 
     html_path = Path(args.html) if args.html else (
         report_dir / f"REPORT_{args.target}.html"
@@ -823,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff",
         help="align two DIGEST_*.jsonl streams and report the first "
-             "divergent (round, phase, shard); --bisect re-runs the window "
+             "divergent (round, phase); --bisect re-runs the window "
              "in fine mode to name the first divergent node",
     )
     diff.add_argument("a", help="first DIGEST_*.jsonl stream")

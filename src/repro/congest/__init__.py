@@ -23,7 +23,6 @@ cannot accidentally cheat the model.
 from repro.congest.errors import BandwidthExceeded, CongestError, ProtocolError
 from repro.congest.bandwidth import payload_bits
 from repro.congest.message import Message
-from repro.congest.node import NodeState
 from repro.congest.topology import Topology
 from repro.congest.transport import (
     BatchTransport,
@@ -34,8 +33,6 @@ from repro.congest.transport import (
     make_transport,
 )
 from repro.congest.network import DEFAULT_BACKEND, Network, RoundRecord
-from repro.congest.program import NodeProgram, ProgramContext
-from repro.congest.simulator import Simulator, SimulationResult
 
 __all__ = [
     "BandwidthExceeded",
@@ -43,7 +40,6 @@ __all__ = [
     "ProtocolError",
     "payload_bits",
     "Message",
-    "NodeState",
     "Topology",
     "Transport",
     "DictTransport",
@@ -54,8 +50,4 @@ __all__ = [
     "DEFAULT_BACKEND",
     "Network",
     "RoundRecord",
-    "NodeProgram",
-    "ProgramContext",
-    "Simulator",
-    "SimulationResult",
 ]

@@ -12,19 +12,13 @@ seams:
   ``low_unique_values``), pinned bit-for-bit;
 * :mod:`~repro.congest.columnar.buffers` — CSR-offset message round buffers
   (one ``offsets``/``storage`` pair per round, written sender-side, read
-  receiver-side in slot order) and packed cut-edge batches for the sharded
-  router;
+  receiver-side in slot order);
 * :mod:`~repro.congest.columnar.transport` — the ``ColumnarTransport``
   backend (vectorized broadcast routing and chunked-round accounting);
 * :mod:`~repro.congest.columnar.sweep` — the vectorized
   ``EstimateSimilarity`` sweep behind every graph-wide similarity caller
   (the ACD buddy test, the dominant compute of every large coloring run,
-  plus triangle detection and sparsity estimation);
-* :mod:`~repro.congest.columnar.faults` — vectorized twins of the fault
-  layer's per-edge drop/corrupt/crash decisions (pure functions of
-  ``(master_seed, round, edge)``, matching ``FaultyTransport`` bit-for-bit);
-* :mod:`~repro.congest.columnar.state` — flat boolean slot masks the
-  simulator keeps in sync with per-node halt/crash state.
+  plus triangle detection and sparsity estimation).
 
 numpy is an *optional* dependency of the repo as a whole: every module here
 degrades to ``HAVE_NUMPY = False`` importably, and only constructing the

@@ -1,4 +1,4 @@
-"""CSR-offset message round buffers and packed cut-edge batches.
+"""CSR-offset message round buffers.
 
 The columnar core never stores a round's traffic as per-edge dict entries.
 A broadcast round is one ``offsets``/``storage`` pair: ``offsets[i] ..
@@ -9,18 +9,11 @@ exactly the order the slot backend fills inboxes — sender-major, receivers
 in CSR row order — so the resulting inbox dicts reproduce the slot backend's
 insertion sequence byte for byte (``tests/test_columnar.py`` pins the
 round-trip, including zero-bit and max-width messages).
-
-:class:`PackedEdgeBatch` is the cross-shard sibling: a cut-edge batch packed
-as two flat int64 slot arrays plus a payload list, replacing the pickled
-list-of-tuples the :class:`~repro.shard.router.ShardRouter` previously
-shipped.  It pickles as array buffers (no per-edge tuple boxing) and
-iterates as ``(sender_slot, receiver_slot, payload)`` triples, so the
-coordinator and worker merge loops consume it unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 try:
     import numpy as np
@@ -101,45 +94,3 @@ class CsrRoundBuffer:
         for sender_slot, receiver_slot, payload in self.entries():
             inboxes[receiver_slot][nodes[sender_slot]] = payload
 
-
-class PackedEdgeBatch:
-    """A cut-edge batch as flat slot arrays plus a payload list.
-
-    Iterates as ``(sender_slot, receiver_slot, payload)`` triples — the
-    protocol the sharded coordinator and worker merge loops already speak —
-    and pickles as two int64 buffers plus the payload list instead of one
-    boxed tuple per edge.
-    """
-
-    __slots__ = ("sender_slots", "receiver_slots", "payloads")
-
-    def __init__(self, sender_slots, receiver_slots, payloads):
-        self.sender_slots = sender_slots
-        self.receiver_slots = receiver_slots
-        self.payloads = payloads
-
-    @classmethod
-    def from_triples(
-        cls, triples: Sequence[Tuple[int, int, object]]
-    ) -> "PackedEdgeBatch":
-        count = len(triples)
-        senders = np.fromiter((t[0] for t in triples), dtype=np.int64, count=count)
-        receivers = np.fromiter((t[1] for t in triples), dtype=np.int64, count=count)
-        return cls(senders, receivers, [t[2] for t in triples])
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-    def __iter__(self) -> Iterator[Tuple[int, int, object]]:
-        return zip(self.sender_slots.tolist(), self.receiver_slots.tolist(), self.payloads)
-
-    def __reduce__(self):
-        return (PackedEdgeBatch, (self.sender_slots, self.receiver_slots, self.payloads))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedEdgeBatch):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"PackedEdgeBatch({len(self)} edges)"

@@ -27,10 +27,11 @@ class Topology:
     Parameters
     ----------
     graph:
-        The communication graph.  Self-loops are rejected (CONGEST networks
-        are simple graphs).  The graph object is kept only as a reference for
-        callers that need ``networkx`` algorithms; all hot-path queries are
-        answered from the cached structures.
+        The communication graph.  Directed graphs and self-loops are
+        rejected (CONGEST networks are simple undirected graphs).  The graph
+        object is kept only as a reference for callers that need
+        ``networkx`` algorithms; all hot-path queries are answered from the
+        cached structures.
     """
 
     __slots__ = (
@@ -46,6 +47,11 @@ class Topology:
     )
 
     def __init__(self, graph: nx.Graph):
+        if graph.is_directed():
+            raise ProtocolError(
+                "directed graphs are not allowed in a CONGEST network; "
+                "pass graph.to_undirected()"
+            )
         if any(u == v for u, v in graph.edges()):
             raise ProtocolError("self-loops are not allowed in a CONGEST network")
         self.graph = graph

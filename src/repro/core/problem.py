@@ -96,6 +96,11 @@ class ColoringInstance:
         """A general list-coloring instance; lists must have ``>= d_v + 1`` colors."""
         palettes: Dict[Node, FrozenSet[Color]] = {}
         for v in graph.nodes():
+            if v not in lists:
+                raise ValueError(
+                    f"node {v!r} has no color list; D1LC requires a list of "
+                    f"at least {graph.degree(v) + 1} colors for every node"
+                )
             palette = frozenset(lists[v])
             need = graph.degree(v) + 1
             if len(palette) < need:

@@ -153,7 +153,7 @@ def localize_digest_change(
     """Align two runs' stored ``DIGEST_*.jsonl`` streams, per scenario.
 
     Upgrades the bare "aggregate digest changed" trend finding into
-    per-scenario (round, phase, shard) localizations via the forensics
+    per-scenario (round, phase) localizations via the forensics
     aligner.  Every obstacle — no recorded ``digest_dir``, both runs
     overwriting the same directory, a stream file missing or unreadable —
     degrades to an ``info`` finding rather than an error: trend reporting

@@ -5,7 +5,7 @@ Three layers, each built on the one below:
 * :func:`first_divergence` — align two ``DIGEST_*.jsonl`` event lists
   trial by trial and round by round (the chain makes prefix equality a
   single comparison per round) and report the first divergent
-  (round, phase, shard) with per-component attribution: inbox bytes,
+  (round, phase) with per-component attribution: inbox bytes,
   ledger counters, liveness, solver state, or round structure.
 * :func:`bisect_divergence` — re-run both sides' trials in *fine* mode
   over a window around the divergent round (serial, default backend —
@@ -131,7 +131,6 @@ class Divergence:
     round: Optional[int] = None
     phase: Optional[str] = None
     label: Optional[str] = None
-    shard: Optional[int] = None
     detail: str = ""
 
     def as_dict(self) -> Dict[str, Any]:
@@ -142,7 +141,7 @@ class Divergence:
             "components": list(self.components),
             "detail": self.detail,
         }
-        for key in ("round", "phase", "label", "shard"):
+        for key in ("round", "phase", "label"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -190,19 +189,6 @@ def _round_components(
             f"{round_b.get('state')}/{round_b.get('state_n')}"
         )
     return components, details
-
-
-def _divergent_shard(
-    round_a: Mapping[str, Any], round_b: Mapping[str, Any]
-) -> Optional[int]:
-    shards_a = round_a.get("shards")
-    shards_b = round_b.get("shards")
-    if (isinstance(shards_a, list) and isinstance(shards_b, list)
-            and len(shards_a) == len(shards_b)):
-        for index, (part_a, part_b) in enumerate(zip(shards_a, shards_b)):
-            if part_a != part_b:
-                return index
-    return None
 
 
 #: Header fields that must match for two streams to be alignable at all.
@@ -277,7 +263,6 @@ def first_divergence(
                 component=primary, components=tuple(components),
                 round=round_a.get("round"), phase=round_a.get("phase"),
                 label=round_a.get("label"),
-                shard=_divergent_shard(round_a, round_b),
                 detail="; ".join(context + details),
             )
         if len(rounds_a) != len(rounds_b):
@@ -314,8 +299,6 @@ def render_divergence(div: Optional[Divergence]) -> str:
     where = f"round {div.round}"
     if div.phase:
         where += f", phase {div.phase!r}"
-    if div.shard is not None:
-        where += f", shard {div.shard}"
     lines = [
         f"{div.scenario} trial {div.trial}: first divergence at {where} "
         f"(label {div.label!r})",

@@ -5,16 +5,14 @@ properties carry the whole subsystem:
 
 * **Canonical bytes.** :func:`canonical_bytes` is a type-tagged,
   length-prefixed encoding with sorted map/set bodies, so the bytes of a
-  payload (or a node's solver-visible state) never depend on dict/set
+  payload never depend on dict/set
   iteration order, ``PYTHONHASHSEED``, or which transport backend delivered
   it.
 * **Commutative multisets.** Per-round digests are *multiset* sums
   (64-bit wrapping sum of per-entry hashes, plus a count), not order-folded
   chains.  The dict, batch, slot and columnar backends deliver the same
-  messages in different iteration orders, and shard workers each see only
-  their slice — a commutative accumulator makes the per-round digest
-  independent of delivery order and lets per-shard partial sums merge into
-  exactly the serial global sum.
+  messages in different iteration orders; a commutative accumulator makes
+  the per-round digest independent of delivery order.
 
 The only order-sensitive fold is the *chain* (:func:`fold_chain`), which
 links the per-round summaries into one tamper-evident running digest; the
@@ -45,10 +43,10 @@ Node = Hashable
 DIGEST_SCHEMA = "repro-digest/1"
 
 # Domain-separation salts: one per kind of digested entry, so an exchange
-# entry can never collide with a state entry built from the same integers.
+# entry can never collide with a sent-value entry built from the same
+# integers.
 _EDGE_SALT = 0xD1E5  # delivered (sender, receiver, payload) entries
 _VALUE_SALT = 0xD15C  # broadcast_discard per-sender sent values
-_STATE_SALT = 0x57A7  # per-node solver-visible state entries
 _INT_SALT = 0x1477  # small-int payload fast path
 _CHAIN_SALT = 0xC4A1  # chain initialisation
 
@@ -151,7 +149,6 @@ def payload_hash(payload: Any) -> int:
 # per entry and gives the vector path a ready-made uint64 seed.
 _EDGE_ACC = mix64_step(MIX64_INIT, _EDGE_SALT)
 _VALUE_ACC = mix64_step(MIX64_INIT, _VALUE_SALT)
-_STATE_ACC = mix64_step(MIX64_INIT, _STATE_SALT)
 _INT_ACC = mix64_step(MIX64_INIT, _INT_SALT)
 
 # The same directed edges recur every round of a run, so their two-step key
@@ -236,27 +233,12 @@ def value_entry_hash(sender: Node, payload: Any) -> int:
     return mix64_step(prefix, payload_hash(payload))
 
 
-def node_state_entry(node: Node, state: Any) -> int:
-    """Multiset entry hash for one node's solver-visible state.
-
-    ``state`` is a :class:`~repro.congest.node.NodeState`; the digested
-    value is the canonical encoding of ``(halted, output, memory)`` — the
-    full solver-visible surface, RNG-derived fields included.
-    """
-    return mix64_step(
-        mix64_step(_STATE_ACC, element_key(node)),
-        hash_bytes(canonical_bytes((state.halted, state.output, state.memory))),
-    )
-
-
 # ------------------------------------------------------------ accumulators
 class MultisetDigest:
     """Commutative digest: wrapping 64-bit sum of entry hashes + count.
 
-    Order-independent and mergeable: the sum of per-shard accumulators over
-    a partition of the entries equals the serial accumulator over all of
-    them, which is exactly the shard-merge contract the coordinator relies
-    on.
+    Order-independent: the result does not depend on the order entries are
+    added in.
     """
 
     __slots__ = ("value", "count")
@@ -278,11 +260,6 @@ class MultisetDigest:
         self.value = total & _MASK64
         self.count = count
 
-    def merge(self, value: int, count: int) -> None:
-        """Fold another accumulator's (value, count) into this one."""
-        self.value = (self.value + value) & _MASK64
-        self.count += count
-
     def snapshot(self) -> Tuple[int, int]:
         return (self.value, self.count)
 
@@ -300,20 +277,6 @@ def fold_chain(chain: int, *values: int) -> int:
     for value in values:
         acc = mix64_step(acc, value)
     return acc
-
-
-def states_digest(states: Mapping[Node, Any]) -> Tuple[int, int]:
-    """Multiset digest (value, count) over a mapping of final node states.
-
-    Uses the same per-node entries as the per-round state digest, so the
-    digest of :attr:`Simulator.states` after a run matches the state
-    component of the final recorded round when no node mutates afterwards.
-    """
-    acc = MultisetDigest()
-    acc.add_many(
-        node_state_entry(node, state) for node, state in states.items()
-    )
-    return acc.snapshot()
 
 
 def inbox_count(inboxes: Mapping[Node, Mapping[Node, Any]]) -> int:
@@ -359,26 +322,3 @@ def label_key(label: str) -> int:
     """Stable 64-bit key of a round label for the chain fold."""
     return element_key(label)
 
-
-def merge_shard_parts(
-    parts: Sequence[Tuple[int, int, int, int, int]]
-) -> Dict[str, int]:
-    """Merge per-shard (payload_sum, payload_n, state_sum, state_n, halted).
-
-    Pure sum-merge — shard order does not matter, which is what makes the
-    sharded chain equal to the serial one.
-    """
-    payload = MultisetDigest()
-    state = MultisetDigest()
-    halted = 0
-    for payload_sum, payload_n, state_sum, state_n, shard_halted in parts:
-        payload.merge(payload_sum, payload_n)
-        state.merge(state_sum, state_n)
-        halted += shard_halted
-    return {
-        "payload_sum": payload.value,
-        "payload_n": payload.count,
-        "state_sum": state.value,
-        "state_n": state.count,
-        "halted": halted,
-    }

@@ -1,40 +1,25 @@
-"""Partition-parallel execution: shards, routers, and the sharded simulator.
+"""Solver-side sharding: the similarity sweep fanned over a compute pool.
 
-The sharded execution layer splits a run over contiguous slices of the
-topology's node-index range (see DESIGN.md "Sharded execution invariants"):
-
-* :class:`~repro.shard.plan.ShardPlan` — CSR-balanced contiguous partition
-  plus the cut-edge routing table, built once from the topology;
-* :class:`~repro.shard.router.ShardRouter` — the per-shard transport:
-  intra-shard delivery, cut-edge batches, per-round ledger deltas; composes
-  with :class:`~repro.faults.transport.FaultyTransport` and any ledger;
-* :class:`~repro.shard.sim.ShardedSimulator` — persistent shard workers
-  (forked processes, or threads as the portable fallback) each driving the
-  existing :class:`~repro.congest.simulator.Simulator` over its slice, with
-  results byte-identical to a serial run for any shard count;
-* :mod:`~repro.shard.sweep` — the solver-side sharding: the per-edge hashing
-  of ``estimate_similarity_on_edges`` fanned over a persistent compute pool,
-  which is what ``Network(shards=N)`` / ``--shards N`` accelerates for the
-  centralized coloring pipeline.
+:mod:`~repro.shard.sweep` splits the per-edge hashing of
+``estimate_similarity_on_edges`` into contiguous, work-balanced chunks and
+runs them on the persistent :mod:`~repro.shard.pool` workers.  That is what
+``Network(shards=N)`` / ``--shards N`` accelerates for the centralized
+coloring pipeline; results are byte-identical to a serial run for any shard
+count (see DESIGN.md "Sharded similarity sweep").
 """
 
-from repro.shard.plan import ShardPlan, partition_weights
 from repro.shard.pool import ShardComputePool, get_pool, shutdown_pool
-from repro.shard.router import ShardAborted, ShardChannel, ShardRouter
-from repro.shard.sim import ShardedSimulator, make_simulator
-from repro.shard.sweep import MIN_SHARDED_WORK, sharded_edge_hashes
+from repro.shard.sweep import (
+    MIN_SHARDED_WORK,
+    partition_weights,
+    sharded_edge_hashes,
+)
 
 __all__ = [
-    "ShardPlan",
     "partition_weights",
     "ShardComputePool",
     "get_pool",
     "shutdown_pool",
-    "ShardAborted",
-    "ShardChannel",
-    "ShardRouter",
-    "ShardedSimulator",
-    "make_simulator",
     "MIN_SHARDED_WORK",
     "sharded_edge_hashes",
 ]

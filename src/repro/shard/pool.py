@@ -3,11 +3,10 @@
 The solver-side sharding (:mod:`repro.shard.sweep`) fans per-edge hashing
 chunks out to worker processes.  Workers are *persistent per process*: the
 first sharded sweep forks them, later sweeps (and later trials in the same
-process) reuse them, and an ``atexit`` hook tears them down — matching the
-"ship state once, then exchange batches" design of the sharded simulator.
-Workers are forked before any task data exists, so their copy-on-write
-footprint is the interpreter plus imported modules; every task ships exactly
-the chunk it needs and returns a picklable result.
+process) reuse them, and an ``atexit`` hook tears them down.  Workers are
+forked before any task data exists, so their copy-on-write footprint is the
+interpreter plus imported modules; every task ships exactly the chunk it
+needs and returns a picklable result.
 
 Tasks are looked up in a registry by name (the registry is import-time
 state, identical in parent and child), so the pool never pickles callables.

@@ -12,7 +12,7 @@ while the hashing fans out over the persistent compute pool.
 
 Chunking is contiguous over the edge list, balanced by estimated key-hash
 work (``k * (|keys_u| + |keys_v|)`` per edge) via
-:func:`repro.shard.plan.partition_weights`.  Each chunk ships exactly the
+:func:`partition_weights`.  Each chunk ships exactly the
 base keys its endpoints need; workers rebuild the hash member from
 ``(family_seed, index, lam)`` — the member is a pure function of those — and
 scale keys locally with the same ``combine_part_keys`` identity the serial
@@ -28,14 +28,14 @@ given run shards (or not) deterministically.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from repro.hashing.keys import combine_part_keys
 from repro.hashing.representative import RepresentativeHashFunction
-from repro.shard.plan import partition_weights
 from repro.shard.pool import get_pool, register_task
 
-__all__ = ["MIN_SHARDED_WORK", "sharded_edge_hashes"]
+__all__ = ["MIN_SHARDED_WORK", "partition_weights", "sharded_edge_hashes"]
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -75,6 +75,30 @@ def _edge_hash_chunk(payload) -> List[Tuple[int, Set[int], Set[int]]]:
 
 
 register_task("similarity_edge_hashes", _edge_hash_chunk)
+
+
+def partition_weights(weights: List[int], shards: int) -> List[int]:
+    """Contiguous boundaries splitting ``weights`` into balanced prefix sums.
+
+    Returns ``bounds`` of length ``shards + 1`` with ``bounds[0] == 0`` and
+    ``bounds[-1] == len(weights)``, chosen so each chunk's weight is close to
+    ``total / shards``.  Deterministic in its inputs.
+    """
+    n = len(weights)
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    shards = min(shards, max(1, n))
+    prefix = [0]
+    for w in weights:
+        prefix.append(prefix[-1] + max(0, int(w)))
+    total = prefix[-1]
+    bounds = [0]
+    for s in range(1, shards):
+        target = (total * s) // shards
+        cut = bisect_left(prefix, target, lo=bounds[-1], hi=n)
+        bounds.append(min(max(cut, bounds[-1] + 1), n - (shards - s)))
+    bounds.append(n)
+    return bounds
 
 
 def sharded_edge_hashes(

@@ -1,4 +1,4 @@
-"""Columnar core: kernels, buffers, accounting and masks pinned bit-for-bit.
+"""Columnar core: kernels, buffers and accounting pinned bit-for-bit.
 
 The columnar backend's contract (DESIGN.md "Columnar core invariants") is
 byte-identity with the slot backend.  The end-to-end half of that contract
@@ -6,15 +6,13 @@ lives in the four-backend equivalence matrix (``test_transport_equivalence``)
 and the shard triangle (``test_shard``); this module pins the *pieces* —
 vectorized splitmix64 kernels against the scalar implementations, CSR round
 buffers against the slot backend's inbox fill, vectorized chunk accounting
-against a literal chunk-by-chunk simulation, fault kernels against
-``FaultyTransport``'s live decisions — so a drift in any one layer fails
+against a literal chunk-by-chunk simulation — so a drift in any one layer fails
 here with a precise finger instead of as an opaque end-to-end diff.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import random
 
 import networkx as nx
@@ -27,10 +25,7 @@ from hypothesis import strategies as st
 
 from repro.congest import Message, Network
 from repro.congest.columnar import HAVE_NUMPY, NUMPY_HINT
-from repro.congest.columnar.buffers import CsrRoundBuffer, PackedEdgeBatch
-from repro.congest.columnar.faults import (
-    corruption_seeds, crash_mask, drop_mask, to_unit_vec,
-)
+from repro.congest.columnar.buffers import CsrRoundBuffer
 from repro.congest.columnar.kernels import (
     element_keys_array,
     hash_values_vec,
@@ -40,11 +35,7 @@ from repro.congest.columnar.kernels import (
     mix64_vec,
     scale_keys_vec,
 )
-from repro.congest.columnar.state import SlotMasks
-from repro.congest.simulator import Simulator
 from repro.congest.transport import EMPTY_INBOX
-from repro.faults.corruption import to_unit
-from repro.faults.transport import _CORRUPT_SALT, _DROP_SALT
 from repro.hashing.keys import (
     MIX64_INIT, combine_part_keys, element_key, mix64, mix64_step,
 )
@@ -210,34 +201,6 @@ class TestCsrRoundBuffer:
         assert nets[0].ledger.records == nets[1].ledger.records
 
 
-class TestPackedEdgeBatch:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 31),
-                              st.integers(min_value=0, max_value=1 << 31),
-                              st.one_of(st.binary(max_size=6), st.integers(),
-                                        st.tuples(st.integers()))),
-                    min_size=0, max_size=50))
-    def test_round_trip_and_pickle(self, triples):
-        batch = PackedEdgeBatch.from_triples(triples)
-        assert len(batch) == len(triples)
-        assert list(batch) == triples
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone == batch
-        assert list(clone) == triples
-
-    def test_zero_bit_and_max_width_payload_bytes(self):
-        wide = b"\xff" * 32
-        triples = [(0, 1, b""), (1, 0, wide), (2, 3, ())]
-        batch = PackedEdgeBatch.from_triples(triples)
-        got = list(batch)
-        assert got == triples
-        assert got[1][2] is wide  # identical object, not a copy
-
-    def test_truthiness_matches_list_protocol(self):
-        assert not PackedEdgeBatch.from_triples([])
-        assert PackedEdgeBatch.from_triples([(0, 1, "x")])
-
-
 # --------------------------------------------------------------------------- #
 # Vectorized chunk accounting vs a literal chunk-by-chunk simulation
 # --------------------------------------------------------------------------- #
@@ -354,117 +317,6 @@ class TestBroadcastDiscard:
         net = Network(nx.path_graph(3), backend="columnar")
         with pytest.raises(ProtocolError):
             net.broadcast_discard({"ghost": 1})
-
-
-# --------------------------------------------------------------------------- #
-# Fault kernels vs FaultyTransport's live decisions
-# --------------------------------------------------------------------------- #
-
-class TestFaultKernels:
-    def test_to_unit_vec_matches_scalar(self):
-        mixed = np.array(ADVERSARIAL, dtype=np.uint64)
-        got = to_unit_vec(mixed)
-        assert got.tolist() == [to_unit(m) for m in ADVERSARIAL]
-
-    def test_drop_mask_matches_scalar_formula(self):
-        rng = random.Random(5)
-        master, round_id, p = rng.getrandbits(31), 7, 0.37
-        s_keys = [rng.getrandbits(64) for _ in range(200)]
-        r_keys = [rng.getrandbits(64) for _ in range(200)]
-        got = drop_mask(master, round_id, s_keys, r_keys, p)
-        expected = [to_unit(mix64(master, round_id, sk, rk, _DROP_SALT)) < p
-                    for sk, rk in zip(s_keys, r_keys)]
-        assert got.tolist() == expected
-        assert any(expected) and not all(expected)  # non-degenerate draw
-
-    def test_corruption_seeds_match_scalar_formula(self):
-        rng = random.Random(6)
-        master, round_id = rng.getrandbits(31), 3
-        s_keys = [rng.getrandbits(64) for _ in range(50)]
-        r_keys = [rng.getrandbits(64) for _ in range(50)]
-        got = corruption_seeds(master, round_id, s_keys, r_keys)
-        expected = [mix64(master, round_id, sk, rk, _CORRUPT_SALT)
-                    for sk, rk in zip(s_keys, r_keys)]
-        assert got.tolist() == expected
-
-    def test_crash_mask(self):
-        crashed = np.array([False, True, False, False], dtype=bool)
-        senders = np.array([0, 1, 2, 3], dtype=np.int64)
-        receivers = np.array([2, 0, 1, 0], dtype=np.int64)
-        assert crash_mask(crashed, senders, receivers).tolist() == \
-            [False, True, True, False]
-
-    def test_drop_mask_predicts_a_live_faulted_round(self):
-        # The kernel must agree with FaultyTransport's actual deliveries,
-        # not just its formula on paper.
-        graph = nx.random_geometric_graph(40, 0.35, seed=9)
-        net = Network(graph, backend="slot", ledger="records",
-                      faults={"drop": 0.3}, fault_seed=21)
-        messages = {(u, v): (u, v) for u, v in graph.edges()}
-        messages.update({(v, u): (v, u) for u, v in graph.edges()})
-        round_id = net.ledger.rounds
-        delivered = net.exchange(messages, label="live")
-        edges = list(messages)
-        mask = drop_mask(
-            net.transport._master, round_id,
-            element_keys_array([e[0] for e in edges]),
-            element_keys_array([e[1] for e in edges]),
-            0.3,
-        )
-        for edge, dropped in zip(edges, mask.tolist()):
-            assert (edge not in delivered) == dropped, edge
-        assert int(mask.sum()) == net.fault_stats["dropped_messages"]
-
-
-# --------------------------------------------------------------------------- #
-# SlotMasks: flat liveness columns stay in sync with the simulator
-# --------------------------------------------------------------------------- #
-
-class TestSlotMasks:
-    def test_masks_track_halts_during_a_run(self):
-        from repro.congest import NodeProgram
-
-        class HaltAtOwnRound(NodeProgram):
-            def step(self, ctx, inbox):
-                if ctx.round_index >= (hash(ctx.node) % 4):
-                    ctx.state.halt("done")
-                    return None
-                return {u: 1 for u in ctx.neighbors}
-
-        net = Network(nx.random_geometric_graph(25, 0.3, seed=1))
-        sim = Simulator(net, HaltAtOwnRound(), seed=2)
-        assert sim.slot_masks is not None
-        while sim.step():
-            assert sim.slot_masks.active_count() == sim.active_count
-        assert sim.slot_masks.active_count() == 0
-        assert bool(sim.slot_masks.halted.all())
-        assert not sim.slot_masks.crashed.any()
-
-    def test_masks_track_crashes(self):
-        from repro.congest import NodeProgram
-
-        class Chatter(NodeProgram):
-            def step(self, ctx, inbox):
-                if ctx.round_index >= 5:
-                    ctx.state.halt("done")
-                    return None
-                return {u: 0 for u in ctx.neighbors}
-
-        graph = nx.path_graph(8)
-        net = Network(graph, faults={"crash": {2: (3, 5)}}, fault_seed=4)
-        sim = Simulator(net, Chatter(), seed=0)
-        result = sim.run()
-        assert result.rounds > 2
-        slot_of = net.topology.node_index
-        assert sim.slot_masks.crashed[slot_of[3]]
-        assert sim.slot_masks.crashed[slot_of[5]]
-        assert int(sim.slot_masks.crashed.sum()) == 2
-        assert bool(sim.slot_masks.halted.all())
-
-    def test_owned_range_marks_foreign_slots_halted(self):
-        masks = SlotMasks(10, range(3, 7))
-        assert masks.active_count() == 4
-        assert masks.halted.tolist() == [True] * 3 + [False] * 4 + [True] * 3
 
 
 # --------------------------------------------------------------------------- #

@@ -38,6 +38,12 @@ class TestConstruction:
         with pytest.raises(ProtocolError):
             Network(g)
 
+    def test_directed_graphs_rejected(self):
+        # Out-neighbors only would halve the edge set and let a coloring
+        # miss conflicts on the reversed arcs.
+        with pytest.raises(ProtocolError, match="directed"):
+            Network(nx.DiGraph([(0, 1), (1, 2), (2, 0)]))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             Network(nx.path_graph(3), mode="weird")

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.congest import ProtocolError
 from repro.core import ColoringParameters, solve_d1c, solve_d1lc, solve_delta_plus_one
 from repro.graphs import (
     degree_plus_one_lists,
@@ -38,6 +39,10 @@ class TestSolveD1C:
         g = nx.empty_graph(5)
         result = solve_d1c(g, seed=5)
         assert result.is_valid
+
+    def test_directed_graph_rejected(self):
+        with pytest.raises(ProtocolError, match="directed"):
+            solve_d1c(nx.DiGraph([(0, 1), (1, 2), (2, 0)]), seed=1)
 
     def test_deterministic_given_seed(self, gnp_small):
         a = solve_d1c(gnp_small, seed=9)

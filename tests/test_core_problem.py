@@ -63,6 +63,12 @@ class TestColoringInstance:
         with pytest.raises(ValueError):
             ColoringInstance.d1lc(g, lists)
 
+    def test_d1lc_names_a_node_without_a_list(self):
+        g = nx.path_graph(3)
+        lists = {0: {0, 1}, 1: {0, 1, 2}}
+        with pytest.raises(ValueError, match="node 2 has no color list"):
+            ColoringInstance.d1lc(g, lists)
+
     def test_missing_palette_rejected(self):
         g = nx.path_graph(3)
         with pytest.raises(ValueError):

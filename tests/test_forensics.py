@@ -5,12 +5,11 @@ The headline contracts pinned here:
 * **Digest byte-identity** — a scenario's ``DIGEST_*.jsonl`` stream is byte
   for byte identical across every transport backend (dict/batch/slot/
   columnar) and across the trial-worker process boundary (``--workers 1``
-  vs ``2``); a program run under :class:`ShardedSimulator` (fork and thread
-  workers alike) reproduces the serial chain and final digest exactly.
+  vs ``2``).
 * **Observation-only** — digesting consumes no RNG: rows, ledgers, and
   outputs are byte-identical to an undigested run.
 * **Localization** — ``repro diff`` names the first divergent (round,
-  phase, shard), and ``--bisect`` re-runs a fine window to name the exact
+  phase), and ``--bisect`` re-runs a fine window to name the exact
   injected (round, node) of a single-edge fault.
 * **Composition** — the observer multiplexer lets RoundTracer and
   DigestTracer share one ledger, attached and detached in any order.
@@ -23,8 +22,6 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.congest.program import NodeProgram
-from repro.congest.simulator import Simulator
 from repro.experiments import (
     aggregate_suite,
     canonical_dumps,
@@ -38,8 +35,14 @@ from repro.experiments.runner import (
     run_trial,
 )
 from repro.experiments.spec import trial_seeds
-from repro.obs import RoundTracer, add_round_observer, remove_round_observer
+from repro.obs import (
+    CompositeTracer,
+    RoundTracer,
+    add_round_observer,
+    remove_round_observer,
+)
 from repro.obs.forensics import (
+    CHAIN_INIT,
     DIGEST_SCHEMA,
     DigestTracer,
     MultisetDigest,
@@ -47,6 +50,7 @@ from repro.obs.forensics import (
     canonical_bytes,
     digest_filename,
     first_divergence,
+    hex16,
     load_digests,
     payload_hash,
     render_bisect,
@@ -56,24 +60,8 @@ from repro.obs.forensics import (
     split_trials,
     write_digests,
 )
-from repro.shard.sim import ShardedSimulator
-
-
-class CountDown(NodeProgram):
-    """Every node floods a round-dependent value for four rounds, then halts."""
-
-    def init(self, ctx):
-        ctx.state.memory["t"] = 0
-
-    def step(self, ctx, inbox):
-        ctx.state.memory["t"] += 1
-        if ctx.state.memory["t"] >= 4:
-            ctx.state.halt()
-        return {v: ctx.state.memory["t"] * 7 + sum(inbox.values())
-                for v in ctx.network.neighbors(ctx.node)}
-
-    def finish(self, ctx):
-        return ctx.state.memory["t"]
+from repro.obs.forensics.diff import _first_fine_difference
+from repro.obs.forensics.digest import fold_chain, label_key
 
 
 def stream_bytes(events):
@@ -123,20 +111,15 @@ class TestDigestPrimitives:
         assert payload_hash(-1) != payload_hash(1)
         assert payload_hash("x") != payload_hash(b"x")
 
-    def test_multiset_digest_is_order_free_and_mergeable(self):
+    def test_multiset_digest_is_order_free(self):
         entries = [payload_hash(v) for v in (3, 1, 2, 2)]
         forward = MultisetDigest()
         forward.add_many(entries)
         backward = MultisetDigest()
-        backward.add_many(reversed(entries))
+        for entry in reversed(entries):
+            backward.add(entry)
         assert forward.snapshot() == backward.snapshot()
         assert forward.count == 4
-        # shard-style partials merge to the serial total
-        left, right = MultisetDigest(), MultisetDigest()
-        left.add_many(entries[:2])
-        right.add_many(entries[2:])
-        left.merge(right.value, right.count)
-        assert left.snapshot() == forward.snapshot()
 
 
 # --------------------------------------------------------------------------- #
@@ -205,7 +188,7 @@ class TestObserverMux:
 
 
 # --------------------------------------------------------------------------- #
-# Byte-identity across backends, worker boundaries, shard runtimes (sat. 3)
+# Byte-identity across backends and worker boundaries
 # --------------------------------------------------------------------------- #
 
 class TestDigestByteIdentity:
@@ -230,36 +213,6 @@ class TestDigestByteIdentity:
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
-    @pytest.mark.parametrize("workers", ["thread", "fork"])
-    def test_sharded_simulator_reproduces_serial_chain(self, workers):
-        graph = nx.gnm_random_graph(24, 60, seed=5)
-
-        def run(sharded):
-            tracer = DigestTracer()
-            net = Network(graph, tracer=tracer)
-            if sharded:
-                sim = ShardedSimulator(net, CountDown(), seed=2, shards=3,
-                                       workers=workers)
-            else:
-                sim = Simulator(net, CountDown(), seed=2)
-            result = sim.run(label="ping:step")
-            tracer.close()
-            return result, tracer.events
-
-        serial_result, serial_events = run(sharded=False)
-        sharded_result, sharded_events = run(sharded=True)
-        assert sharded_result.outputs == serial_result.outputs
-        serial_rounds = [e for e in serial_events if e["type"] == "round"]
-        sharded_rounds = [e for e in sharded_events if e["type"] == "round"]
-        assert [e["chain"] for e in serial_rounds] == \
-            [e["chain"] for e in sharded_rounds]
-        assert serial_events[-1]["chain"] == sharded_events[-1]["chain"]
-        # per-round state digests are merged from per-shard sub-digests;
-        # the sharded stream additionally localizes them per shard
-        assert all("state" in e for e in serial_rounds)
-        assert any("shards" in e for e in sharded_rounds)
-        assert all("shards" not in e for e in serial_rounds)
-
     def test_digesting_is_observation_only(self):
         spec = smoke_spec("gnp-johansson", trials=1)
         plain = strip_machine(run_trial(spec, 0))
@@ -281,6 +234,108 @@ class TestDigestByteIdentity:
 
         assert FaultPlan.coerce(rebuilt.faults).canonical() == \
             FaultPlan.coerce(spec.faults).canonical()
+
+
+# --------------------------------------------------------------------------- #
+# The state/liveness component, fed through the note_state hook
+# --------------------------------------------------------------------------- #
+
+def state_run(states, fine_rounds=None):
+    """Digest one exchange round per entry of ``states``.
+
+    ``states[r]`` is the ``(node, entry_hash, halted)`` list reported after
+    round ``r + 1``, or ``None`` to report nothing for that round.
+    """
+    tracer = DigestTracer(fine_rounds=fine_rounds)
+    net = Network(nx.path_graph(3), tracer=tracer)
+    for items in states:
+        net.exchange({(0, 1): 5, (2, 1): 6}, label="step:x")
+        if items is not None:
+            tracer.note_state(iter(items))
+    tracer.close()
+    return [e for e in tracer.events if e["type"] in ("round", "fine")]
+
+
+class TestStateComponent:
+    STATE = [(0, 11, False), (1, 22, True), (2, 33, False)]
+
+    def test_state_fields_and_chain_fold(self):
+        first, second = [e for e in state_run([self.STATE, None])
+                         if e["type"] == "round"]
+        assert first["state"] == hex16(11 + 22 + 33)
+        assert first["state_n"] == 3
+        assert first["halted"] == 1
+        # A round with no report carries no state fields...
+        assert "state" not in second and "halted" not in second
+        # ...and the chain folds (value, count, halted) of the state
+        # component after the payload digest, zeros when unobserved.
+        expected = fold_chain(
+            CHAIN_INIT, 1, label_key("step:x"), first["messages"],
+            first["bits"], first["max_edge_bits"],
+            int(first["payload"], 16), first["payload_n"], 66, 3, 1)
+        assert first["chain"] == hex16(expected)
+        expected = fold_chain(
+            expected, 2, label_key("step:x"), second["messages"],
+            second["bits"], second["max_edge_bits"],
+            int(second["payload"], 16), second["payload_n"], 0, 0, 0)
+        assert second["chain"] == hex16(expected)
+
+    def test_empty_report_keeps_the_unobserved_chain(self):
+        silent = state_run([None])
+        empty = state_run([[]])
+        assert empty[0]["state_n"] == 0 and "state" not in silent[0]
+        assert empty[0]["chain"] == silent[0]["chain"]
+
+    def test_state_and_liveness_divergence_components(self):
+        base = state_run([self.STATE])
+        drifted = state_run([[(0, 11, False), (1, 22, True), (2, 34, False)]])
+        div = first_divergence(
+            [{"type": "header"}] + base, [{"type": "header"}] + drifted)
+        assert div is not None
+        assert div.components == ("state",) and div.round == 1
+        revived = state_run([[(0, 11, False), (1, 22, False),
+                              (2, 33, False)]])
+        div = first_divergence(
+            [{"type": "header"}] + base, [{"type": "header"}] + revived)
+        assert div.component == "liveness"
+
+    def test_composite_forwards_one_shot_state_to_every_member(self):
+        first, second = DigestTracer(), DigestTracer()
+        composite = CompositeTracer([RoundTracer(), first, second])
+        assert composite.wants_state
+        net = Network(nx.path_graph(3), tracer=composite)
+        net.exchange({(0, 1): 5}, label="step:x")
+        composite.note_state(item for item in self.STATE)
+        composite.close()
+        rounds = [[e for e in t.events if e["type"] == "round"]
+                  for t in (first, second)]
+        assert rounds[0] == rounds[1]
+        assert rounds[0][0]["state_n"] == 3
+
+    def test_fine_mode_state_maps_localize_the_divergent_node(self):
+        fine_base = state_run([None, self.STATE], fine_rounds=(2, 2))[-1]
+        assert fine_base["type"] == "fine" and fine_base["round"] == 2
+        assert fine_base["state"] == {"0": hex16(11), "1": hex16(22),
+                                      "2": hex16(33)}
+        assert fine_base["halted"] == {"0": False, "1": True, "2": False}
+        assert fine_base["inbox"]  # inbox detail rides along
+        # Outside the window no fine event is emitted.
+        assert [e["round"] for e in state_run(
+            [self.STATE, self.STATE], fine_rounds=(2, 2))
+            if e["type"] == "fine"] == [2]
+
+        drifted = state_run(
+            [None, [(0, 11, False), (1, 22, True), (2, 99, False)]],
+            fine_rounds=(2, 2))[-1]
+        found = _first_fine_difference(fine_base, drifted, 2)
+        assert (found.node, found.component) == ("2", "state")
+        # Liveness precedes state in causal order within a round.
+        halted = state_run(
+            [None, [(0, 11, True), (1, 22, True), (2, 99, False)]],
+            fine_rounds=(2, 2))[-1]
+        found = _first_fine_difference(fine_base, halted, 2)
+        assert (found.node, found.component) == ("0", "liveness")
+        assert _first_fine_difference(fine_base, dict(fine_base), 2) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -426,8 +481,8 @@ class TestBisect:
         block = split_trials(events)[0]
         assert sorted(block["fine"]) == [2, 3]
         fine = block["fine"][2]
-        # scenario solvers drive the Network directly, so fine events carry
-        # per-node inboxes; state/halted maps appear on Simulator-driven runs
+        # scenario solvers report no per-node state, so fine events carry
+        # per-node inboxes only (see TestStateComponent for state maps)
         assert fine["inbox"]
         for node_key, entry in fine["inbox"].items():
             assert isinstance(node_key, str)

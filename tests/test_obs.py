@@ -15,8 +15,6 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.congest.program import NodeProgram
-from repro.congest.simulator import Simulator
 from repro.core import solve_d1c
 from repro.experiments import (
     aggregate_suite,
@@ -44,23 +42,23 @@ from repro.obs import (
     trace_filename,
     write_trace,
 )
-from repro.shard.sim import ShardedSimulator
 
 
-class CountDown(NodeProgram):
-    """Every node pings its neighbours for three rounds, then halts."""
+def ping(network, rounds=3, label="ping:step"):
+    """Every node sends ``1`` to each neighbour, ``rounds`` times over.
 
-    def init(self, ctx):
-        ctx.state.memory["t"] = 0
-
-    def step(self, ctx, inbox):
-        ctx.state.memory["t"] += 1
-        if ctx.state.memory["t"] >= 3:
-            ctx.state.halt()
-        return {v: 1 for v in ctx.network.neighbors(ctx.node)}
-
-    def finish(self, ctx):
-        return ctx.state.memory["t"]
+    Reports node counts before each round the way the coloring drivers do,
+    so traced round events carry ``active``/``owned``.  Returns the
+    delivered mapping of every round.
+    """
+    messages = {(u, v): 1 for u in network.nodes for v in network.neighbors(u)}
+    n = network.number_of_nodes
+    delivered = []
+    for _ in range(rounds):
+        if network.tracer.enabled:
+            network.tracer.note_nodes(n, n)
+        delivered.append(network.exchange(messages, label=label))
+    return delivered
 
 
 def ledger_fingerprint(network):
@@ -78,7 +76,7 @@ class TestRoundTracer:
     def test_event_stream_shape(self):
         tracer = RoundTracer(meta={"scenario": "unit"})
         net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         kinds = [e["type"] for e in tracer.events]
         assert kinds[0] == "header"
@@ -105,32 +103,19 @@ class TestRoundTracer:
         tracer = RoundTracer()
         net = Network(nx.gnm_random_graph(20, 40, seed=3), tracer=tracer)
         solve_d1c(net.graph, seed=5)  # unrelated run: tracer only sees `net`
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
+        net.broadcast({v: v for v in net.nodes}, label="ping:bcast")
         tracer.close()
         rounds = [e for e in tracer.events if e["type"] == "round"]
         assert sum(e["bits"] for e in rounds) == net.ledger.total_bits
         assert sum(e["messages"] for e in rounds) == net.ledger.total_messages
         assert len(rounds) == net.ledger.rounds
 
-    def test_sharded_rounds_carry_per_shard_breakdown(self):
-        tracer = RoundTracer()
-        net = Network(nx.cycle_graph(8), tracer=tracer)
-        ShardedSimulator(net, CountDown(), seed=1, shards=2,
-                         workers="thread").run(label="ping:step")
-        tracer.close()
-        rounds = [e for e in tracer.events if e["type"] == "round"]
-        assert rounds, "sharded run recorded no rounds"
-        for event in rounds:
-            assert len(event["shards"]) == 2
-            msgs, bits, _ = map(sum, zip(*event["shards"]))
-            assert msgs == event["messages"]
-            assert bits == event["bits"]
-
     def test_fault_deltas_in_round_events(self):
         tracer = RoundTracer()
         net = Network(nx.complete_graph(8), faults={"drop": 0.5},
                       fault_seed=7, tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         assert "faults" in tracer.events[0]  # header carries the plan
         rounds = [e for e in tracer.events if e["type"] == "round"]
@@ -234,25 +219,21 @@ class TestObservationOnly:
         assert (traced.rounds, traced.total_bits) == (
             plain.rounds, plain.total_bits)
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_traced_simulation_identical(self, sharded):
+    @pytest.mark.parametrize("backend", ["dict", "batch", "slot", "columnar"])
+    def test_traced_primitives_identical(self, backend):
         def run(tracer):
-            net = Network(nx.cycle_graph(10), tracer=tracer)
-            if sharded:
-                sim = ShardedSimulator(net, CountDown(), seed=2, shards=2,
-                                       workers="thread")
-            else:
-                sim = Simulator(net, CountDown(), seed=2)
-            result = sim.run(label="ping:step")
-            return result, ledger_fingerprint(net)
+            net = Network(nx.cycle_graph(10), backend=backend,
+                          faults={"drop": 0.2}, fault_seed=3, tracer=tracer)
+            delivered = ping(net)
+            inboxes = net.broadcast({v: v * 3 for v in net.nodes},
+                                    label="ping:bcast")
+            return delivered, inboxes, ledger_fingerprint(net)
 
-        plain_result, plain_ledger = run(None)
+        plain = run(None)
         tracer = RoundTracer()
-        traced_result, traced_ledger = run(tracer)
+        traced = run(tracer)
         tracer.close()
-        assert traced_result.outputs == plain_result.outputs
-        assert traced_result.rounds == plain_result.rounds
-        assert traced_ledger == plain_ledger
+        assert traced == plain
 
     def test_null_tracer_installs_nothing(self):
         net = Network(nx.path_graph(4))
@@ -261,7 +242,7 @@ class TestObservationOnly:
         assert net.ledger.observer is None
         # The protocol hooks are callable no-ops on the shared singleton.
         NULL_TRACER.note_nodes(1, 2)
-        NULL_TRACER.note_shards([(0, 0, 0)])
+        NULL_TRACER.note_state([(0, 0, False)])
         NULL_TRACER.close()
         assert isinstance(NULL_TRACER, NullTracer)
 
@@ -316,7 +297,7 @@ class TestTraceArtifacts:
     def test_summarize_stable_across_round_trip(self, tmp_path):
         tracer = RoundTracer()
         net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         direct = summarize_trace(tracer.events)
         path = write_trace(tmp_path / trace_filename("rt"), tracer.events)
@@ -401,7 +382,7 @@ class TestHeartbeat:
         hb = Heartbeat(interval_s=0.0, stream=stream)
         tracer = RoundTracer(heartbeat=hb)
         net = Network(nx.cycle_graph(6), tracer=tracer)
-        Simulator(net, CountDown(), seed=1).run(label="ping:step")
+        ping(net)
         tracer.close()
         lines = stream.getvalue().splitlines()
         assert len(lines) == 3  # one per round at interval 0
@@ -450,9 +431,9 @@ class TestSampler:
 
 class TestSummarizeEdgeCases:
     def test_unlabeled_rounds_fold_into_empty_phase(self):
-        # The simulator itself backfills empty labels with the program name,
-        # so unlabeled rounds only occur in hand-written or foreign traces —
-        # summarize_trace must still fold them into the "" phase.
+        # The in-repo drivers label every round, so unlabeled rounds only
+        # occur in hand-written or foreign traces — summarize_trace must
+        # still fold them into the "" phase.
         events = [
             {"type": "round", "round": 1, "label": "", "messages": 2,
              "bits": 4, "max_edge_bits": 2, "wall_s": 0.01},

@@ -1,20 +1,18 @@
 """Sharded execution: byte-identity with serial runs for any shard count.
 
-The contract under test (DESIGN.md "Sharded execution invariants"): slicing
-a run over shard workers is a pure execution choice — ledgers, outputs,
-states, colorings, fault counters and halting behavior must match a serial
-slot-backend run bit for bit, for shards ∈ {1, 2, 4, 7}, on fault-free
-networks and under drop/corrupt/crash fault plans, on both worker runtimes.
+The contract under test (DESIGN.md "Sharded similarity sweep"): fanning the
+similarity sweep's per-edge hashing over the compute pool is a pure
+execution choice — similarity results, ledgers, colorings and fault
+counters must match a serial run bit for bit, for any shard count, on
+fault-free networks and under fault plans.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import networkx as nx
-
 import repro.shard.sweep as sweep_mod
-from repro.congest import Network, NodeProgram, Simulator
+from repro.congest import Network
 from repro.congest.columnar import HAVE_NUMPY
 from repro.core import solve_d1c, solve_d1lc
 from repro.experiments import (
@@ -24,314 +22,12 @@ from repro.experiments.spec import ScenarioSpec
 from repro.graphs import gnp_fast_graph, ring_of_cliques
 from repro.sampling import estimate_similarity_on_edges
 from repro.sampling.similarity import SimilarityParameters
-from repro.shard import (
-    ShardPlan, ShardedSimulator, make_simulator, partition_weights,
-)
-
-SHARD_COUNTS = (1, 2, 4, 7)
+from repro.shard import partition_weights
 
 #: Serial backends the sharded execution must stay byte-identical to.  The
 #: columnar core joins whenever numpy is importable: slot == columnar ==
 #: sharded closes the three-way equivalence triangle.
 SERIAL_BACKENDS = ("slot",) + (("columnar",) if HAVE_NUMPY else ())
-
-
-# --------------------------------------------------------------------------- #
-# Node programs exercising distinct execution shapes
-# --------------------------------------------------------------------------- #
-
-class FloodMin(NodeProgram):
-    """Deterministic flood; every node halts in the same round."""
-
-    def init(self, ctx):
-        ctx.state["best"] = ctx.node
-
-    def step(self, ctx, inbox):
-        best = ctx.state["best"]
-        for value in inbox.values():
-            if value < best:
-                best = value
-        ctx.state["best"] = best
-        if ctx.round_index >= 6:
-            ctx.state.halt(best)
-            return None
-        return {u: best for u in ctx.neighbors}
-
-
-class RandomGossip(NodeProgram):
-    """Per-node randomness: sharding must preserve every node's rng stream."""
-
-    def init(self, ctx):
-        ctx.state["trace"] = [ctx.rng.randrange(1000)]
-
-    def step(self, ctx, inbox):
-        ctx.state["trace"].append(
-            ctx.rng.randrange(1000) + sum(v for v in inbox.values())
-        )
-        if ctx.round_index >= 4:
-            ctx.state.halt(tuple(ctx.state["trace"]))
-            return None
-        return {u: ctx.state["trace"][-1] % 7 for u in ctx.neighbors}
-
-
-class StaggeredHalt(NodeProgram):
-    """Nodes halt at different rounds, draining some shards before others —
-    the coordinator's absorb path (a drained shard still participating in
-    live rounds) is what keeps clocks and cut deliveries aligned."""
-
-    def step(self, ctx, inbox):
-        if ctx.round_index >= (hash(ctx.node) % 5):
-            ctx.state.halt(("done", len(inbox)))
-            return None
-        return {u: 1 for u in ctx.neighbors}
-
-
-def _families():
-    return [
-        ("gnp_fast", gnp_fast_graph(60, avg_degree=6.0, seed=3)),
-        ("geometric", nx.random_geometric_graph(60, 0.22, seed=5)),
-        ("ring_of_cliques", ring_of_cliques(6, 6)),
-    ]
-
-
-def _run_serial(graph, program_cls, seed=7, faults=None, backend="slot"):
-    net = Network(graph, backend=backend, ledger="records", faults=faults,
-                  fault_seed=13)
-    result = Simulator(net, program_cls(), seed=seed).run()
-    return result, net
-
-
-def _run_sharded(graph, program_cls, shards, workers, seed=7, faults=None):
-    net = Network(graph, backend="slot", ledger="records", faults=faults,
-                  fault_seed=13)
-    sim = ShardedSimulator(net, program_cls(), seed=seed, shards=shards,
-                           workers=workers)
-    return sim.run(), net
-
-
-def _ledger_records(net):
-    return [(r.label, r.message_count, r.total_bits, r.max_edge_bits)
-            for r in net.ledger.records]
-
-
-def _assert_equivalent(graph, program_cls, shards, workers, faults=None,
-                       serial_backend="slot"):
-    serial, net0 = _run_serial(graph, program_cls, faults=faults,
-                               backend=serial_backend)
-    sharded, net1 = _run_sharded(graph, program_cls, shards, workers,
-                                 faults=faults)
-    assert sharded.outputs == serial.outputs
-    assert sharded.rounds == serial.rounds
-    assert sharded.halted == serial.halted
-    assert _ledger_records(net1) == _ledger_records(net0)
-    assert net1.fault_stats == net0.fault_stats
-    assert {v: (s.halted, s.output) for v, s in sharded.states.items()} == \
-        {v: (s.halted, s.output) for v, s in serial.states.items()}
-
-
-# --------------------------------------------------------------------------- #
-# Shard plans and the cut-edge routing table
-# --------------------------------------------------------------------------- #
-
-class TestShardPlan:
-    def test_bounds_cover_slot_range_contiguously(self):
-        graph = gnp_fast_graph(50, avg_degree=5.0, seed=1)
-        topology = Network(graph).topology
-        for shards in SHARD_COUNTS:
-            plan = ShardPlan(topology, shards)
-            assert plan.bounds[0] == 0 and plan.bounds[-1] == 50
-            assert list(plan.bounds) == sorted(set(plan.bounds))
-            covered = [s for shard in range(plan.shards)
-                       for s in plan.slot_range(shard)]
-            assert covered == list(range(50))
-            assert [plan.owner[i] for i in range(50)] == \
-                [plan.shard_of_slot(i) for i in range(50)]
-
-    def test_cut_edges_match_bruteforce_when_boundary_slices_a_clique(self):
-        # ring_of_cliques(4, 6): 24 nodes in 4 cliques of 6.  Three CSR-
-        # balanced shards put boundaries at slots 8 and 16 — inside cliques
-        # 2 and 3 — so intra-clique edges are sliced across the partition.
-        graph = ring_of_cliques(4, 6)
-        topology = Network(graph).topology
-        plan = ShardPlan(topology, 3)
-        clique_of = lambda slot: slot // 6
-        sliced = [b for b in plan.bounds[1:-1] if b % 6]
-        assert sliced, "expected at least one boundary inside a clique"
-
-        index_of = topology.node_index
-        expected = {s: set() for s in range(plan.shards)}
-        for u, v in graph.edges():
-            iu, iv = index_of[u], index_of[v]
-            if plan.owner[iu] != plan.owner[iv]:
-                expected[plan.owner[iu]].add((iu, iv))
-                expected[plan.owner[iv]].add((iv, iu))
-        for s in range(plan.shards):
-            assert set(plan.cut_edges_of(s)) == expected[s]
-        # The sliced cliques contribute intra-clique cut edges.
-        assert any(clique_of(a) == clique_of(b)
-                   for s in range(plan.shards)
-                   for a, b in plan.cut_edges_of(s))
-        summary = plan.cut_summary()
-        assert summary["cut_edges"] == \
-            sum(len(v) for v in expected.values()) // 2
-
-    def test_flood_crosses_sliced_clique_boundary(self):
-        # End to end across the cut: the global minimum floods through
-        # boundary-sliced cliques identically for every shard count.
-        graph = ring_of_cliques(4, 6)
-        for shards in (2, 3, 7):
-            _assert_equivalent(graph, FloodMin, shards, "thread")
-
-    def test_plan_validation(self):
-        topology = Network(gnp_fast_graph(10, avg_degree=3.0, seed=0)).topology
-        with pytest.raises(ValueError):
-            ShardPlan(topology, 0)
-        assert ShardPlan(topology, 99).shards == 10  # clamped to n
-
-    def test_partition_weights_balanced_and_contiguous(self):
-        weights = [5, 1, 1, 1, 5, 1, 1, 1, 5, 1]
-        bounds = partition_weights(weights, 3)
-        assert bounds[0] == 0 and bounds[-1] == len(weights)
-        assert bounds == sorted(bounds)
-        chunk_weights = [sum(weights[bounds[i]:bounds[i + 1]])
-                         for i in range(3)]
-        assert max(chunk_weights) <= sum(weights)  # sanity
-        assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
-
-
-# --------------------------------------------------------------------------- #
-# ShardedSimulator equivalence
-# --------------------------------------------------------------------------- #
-
-class TestShardedSimulatorEquivalence:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("program_cls", [FloodMin, RandomGossip,
-                                             StaggeredHalt])
-    def test_fault_free_families_thread(self, shards, program_cls):
-        for _name, graph in _families():
-            _assert_equivalent(graph, program_cls, shards, "thread")
-
-    @pytest.mark.parametrize("shards", (2, 7))
-    def test_fault_free_fork_runtime(self, shards):
-        for _name, graph in _families():
-            _assert_equivalent(graph, RandomGossip, shards, "fork")
-
-    @pytest.mark.parametrize("backend", SERIAL_BACKENDS)
-    @pytest.mark.parametrize("program_cls", [FloodMin, RandomGossip,
-                                             StaggeredHalt])
-    def test_serial_backend_matches_sharded(self, backend, program_cls):
-        # slot == columnar == sharded: any serial backend's run must match
-        # the partitioned execution byte for byte.
-        for _name, graph in _families():
-            _assert_equivalent(graph, program_cls, 4, "thread",
-                               serial_backend=backend)
-
-    @pytest.mark.parametrize("backend", SERIAL_BACKENDS)
-    @pytest.mark.parametrize("faults", [
-        {"drop": 0.15},
-        {"corrupt": 0.02},
-        {"crash": {2: (5, 11)}},
-    ])
-    def test_serial_backend_matches_sharded_under_faults(self, backend,
-                                                         faults):
-        for _name, graph in _families():
-            _assert_equivalent(graph, FloodMin, 3, "thread", faults=faults,
-                               serial_backend=backend)
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("faults", [
-        {"drop": 0.15},
-        {"corrupt": 0.02},
-        {"drop": 0.1, "corrupt": 0.01},
-    ])
-    def test_drop_corrupt_fault_plans(self, shards, faults):
-        for _name, graph in _families():
-            _assert_equivalent(graph, FloodMin, shards, "thread",
-                               faults=faults)
-
-    def test_drop_corrupt_fork_runtime(self):
-        graph = ring_of_cliques(6, 6)
-        _assert_equivalent(graph, FloodMin, 4, "fork",
-                           faults={"drop": 0.1, "corrupt": 0.01})
-
-    def test_crash_schedule_draining_a_whole_shard(self):
-        # Crash every node of the first shard mid-run: its worker must keep
-        # absorbing rounds (clock ticks, cut mail counted) while the rest
-        # finish — and the round count must match serial exactly.
-        graph = ring_of_cliques(6, 6)
-        net = Network(graph)
-        plan = ShardPlan(net.topology, 4)
-        first = [net.topology.node_at(i) for i in plan.slot_range(0)]
-        faults = {"crash": {2: tuple(first)}}
-        for shards in (2, 4):
-            _assert_equivalent(graph, FloodMin, shards, "thread",
-                               faults=faults)
-
-    def test_everyone_halts_in_init(self):
-        class HaltInInit(NodeProgram):
-            def init(self, ctx):
-                ctx.state.halt("immediately")
-
-            def step(self, ctx, inbox):  # pragma: no cover - never runs
-                raise AssertionError("no rounds should execute")
-
-        graph = gnp_fast_graph(20, avg_degree=4.0, seed=2)
-        serial, net0 = _run_serial(graph, HaltInInit)
-        sharded, net1 = _run_sharded(graph, HaltInInit, 4, "thread")
-        assert sharded.rounds == serial.rounds == 0
-        assert sharded.outputs == serial.outputs
-        assert net1.ledger.rounds == net0.ledger.rounds == 0
-
-    def test_max_rounds_cap(self):
-        class NeverHalts(NodeProgram):
-            def step(self, ctx, inbox):
-                return {u: 0 for u in ctx.neighbors}
-
-        graph = ring_of_cliques(4, 5)
-        net = Network(graph, backend="slot")
-        result = ShardedSimulator(net, NeverHalts(), shards=3,
-                                  workers="thread").run(max_rounds=5)
-        assert result.rounds == 5
-        assert not result.halted
-        assert net.ledger.rounds == 5
-
-    def test_protocol_error_propagates(self):
-        from repro.congest import ProtocolError
-
-        class SendsOffGraph(NodeProgram):
-            def step(self, ctx, inbox):
-                return {"no-such-node": 1}
-
-        net = Network(ring_of_cliques(4, 5), backend="slot")
-        sim = ShardedSimulator(net, SendsOffGraph(), shards=3,
-                               workers="thread")
-        with pytest.raises(ProtocolError):
-            sim.run()
-
-    def test_bandwidth_exceeded_propagates(self):
-        from repro.congest import BandwidthExceeded
-
-        class TooChatty(NodeProgram):
-            def step(self, ctx, inbox):
-                return {u: tuple(range(4096)) for u in ctx.neighbors}
-
-        for workers in ("thread", "fork"):
-            net = Network(ring_of_cliques(4, 5), backend="slot")
-            sim = ShardedSimulator(net, TooChatty(), shards=3, workers=workers)
-            with pytest.raises(BandwidthExceeded):
-                sim.run()
-
-    def test_make_simulator_dispatch(self):
-        net = Network(ring_of_cliques(3, 4))
-        assert isinstance(make_simulator(net, FloodMin(), shards=1), Simulator)
-        sharded = make_simulator(net, FloodMin(), shards=3, workers="thread")
-        assert isinstance(sharded, ShardedSimulator)
-
-    def test_crash_plan_requires_fresh_clock(self):
-        net = Network(ring_of_cliques(3, 4), faults={"crash": {1: (0,)}})
-        net.charge_silent_round()
-        with pytest.raises(ValueError):
-            ShardedSimulator(net, FloodMin(), shards=2, workers="thread")
 
 
 # --------------------------------------------------------------------------- #
@@ -405,6 +101,16 @@ class TestShardedSweep:
                                 suite="tiny")
         assert canonical_dumps(aggregate_suite(serial)) == \
             canonical_dumps(aggregate_suite(sharded))
+
+    def test_partition_weights_balanced_and_contiguous(self):
+        weights = [5, 1, 1, 1, 5, 1, 1, 1, 5, 1]
+        bounds = partition_weights(weights, 3)
+        assert bounds[0] == 0 and bounds[-1] == len(weights)
+        assert bounds == sorted(bounds)
+        chunk_weights = [sum(weights[bounds[i]:bounds[i + 1]])
+                         for i in range(3)]
+        assert max(chunk_weights) <= sum(weights)  # sanity
+        assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_network_rejects_bad_shards(self):
         with pytest.raises(ValueError):

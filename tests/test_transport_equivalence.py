@@ -15,7 +15,7 @@ import networkx as nx
 import pytest
 
 from repro.baselines import johansson_coloring
-from repro.congest import Message, Network, Simulator
+from repro.congest import Message, Network
 from repro.congest.columnar import HAVE_NUMPY
 from repro.congest.transport import EMPTY_INBOX
 from repro.core import solve_d1c, solve_d1lc
@@ -212,35 +212,6 @@ class TestEndToEndEquivalence:
             b = results[backend]
             assert a.coloring == b.coloring, backend
             assert (a.rounds, a.total_bits) == (b.rounds, b.total_bits), backend
-
-    def test_simulator_identical_across_backends(self):
-        from repro.congest import NodeProgram
-
-        class FloodMin(NodeProgram):
-            def init(self, ctx):
-                ctx.state["best"] = ctx.node
-                ctx.state["changed"] = True
-
-            def step(self, ctx, inbox):
-                for value in inbox.values():
-                    if value < ctx.state["best"]:
-                        ctx.state["best"] = value
-                        ctx.state["changed"] = True
-                if not ctx.state["changed"]:
-                    ctx.state.halt(ctx.state["best"])
-                    return {}
-                ctx.state["changed"] = False
-                return {u: ctx.state["best"] for u in ctx.neighbors}
-
-            def finish(self, ctx):
-                return ctx.state["best"]
-
-        nets = all_networks(nx.random_regular_graph(3, 12, seed=1))
-        outputs = []
-        for net in nets:
-            outputs.append(Simulator(net, FloodMin(), seed=5).run().outputs)
-        assert all(out == outputs[0] for out in outputs[1:])
-        assert_identical_ledgers(*nets)
 
 
 #: Fault plans the equivalence matrix runs under; the fault-free plan is the
