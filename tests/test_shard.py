@@ -19,7 +19,10 @@ from repro.experiments import (
     aggregate_suite, canonical_dumps, run_scenarios,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.graphs import gnp_fast_graph, ring_of_cliques
+from repro.graphs import (
+    gnp_fast_graph, planted_almost_cliques, power_law_graph,
+    random_geometric_graph, ring_of_cliques,
+)
 from repro.sampling import estimate_similarity_on_edges
 from repro.sampling.similarity import SimilarityParameters
 from repro.shard import partition_weights
@@ -28,6 +31,44 @@ from repro.shard import partition_weights
 #: columnar core joins whenever numpy is importable: slot == columnar ==
 #: sharded closes the three-way equivalence triangle.
 SERIAL_BACKENDS = ("slot",) + (("columnar",) if HAVE_NUMPY else ())
+
+#: Graph families the sharded sweep must reproduce the serial one on.
+SWEEP_FAMILIES = {
+    "gnp_fast": lambda: gnp_fast_graph(60, avg_degree=6.0, seed=3),
+    "geometric": lambda: random_geometric_graph(60, 0.22, seed=5),
+    "power_law": lambda: power_law_graph(60, 3, seed=11),
+    "planted": lambda: planted_almost_cliques(
+        num_cliques=3, clique_size=12, num_sparse=10, seed=13).graph,
+}
+
+
+def _sweep(graph, shards, faults=None):
+    """One slot-backend similarity sweep over every edge's neighbourhoods."""
+    net = Network(graph, backend="slot", ledger="records", shards=shards,
+                  faults=faults, fault_seed=13)
+    sets = {v: set(graph.neighbors(v)) for v in graph.nodes()}
+    params = SimilarityParameters.practical(eps=0.3, seed=4)
+    return estimate_similarity_on_edges(net, sets, params=params, seed=9), net
+
+
+def _records(net):
+    return [(r.label, r.message_count, r.total_bits, r.max_edge_bits)
+            for r in net.ledger.records]
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Open the work gate and count the sweeps that reach the pool."""
+    monkeypatch.setattr(sweep_mod, "MIN_SHARDED_WORK", 0)
+    calls = []
+    real = sweep_mod.sharded_edge_hashes
+
+    def spy(tasks, base_keys, shards):
+        calls.append(shards)
+        return real(tasks, base_keys, shards)
+
+    monkeypatch.setattr(sweep_mod, "sharded_edge_hashes", spy)
+    return calls
 
 
 # --------------------------------------------------------------------------- #
@@ -54,6 +95,47 @@ class TestShardedSweep:
                 assert got[edge] == base[edge], edge
             assert (net1.ledger.rounds, net1.ledger.total_bits) == \
                 (net0.ledger.rounds, net0.ledger.total_bits)
+
+    @pytest.mark.parametrize("shards", (2, 3, 5, 8))
+    @pytest.mark.parametrize("family", sorted(SWEEP_FAMILIES))
+    def test_sweep_identical_for_any_shard_count(self, pool_calls, family,
+                                                 shards):
+        graph = SWEEP_FAMILIES[family]()
+        base, net0 = _sweep(graph, 1)
+        got, net1 = _sweep(graph, shards)
+        assert pool_calls == [shards]
+        assert list(got) == list(base)
+        assert got == base
+        assert _records(net1) == _records(net0)
+
+    @pytest.mark.parametrize("shards", (2, 4))
+    @pytest.mark.parametrize("faults", [
+        {"drop": 0.15},
+        {"corrupt": 0.02},
+        {"crash": {1: (0, 7, 13)}},
+    ], ids=["drop", "corrupt", "crash"])
+    def test_sweep_identical_under_faults(self, pool_calls, faults, shards):
+        graph = ring_of_cliques(5, 7)
+        base, net0 = _sweep(graph, 1, faults)
+        got, net1 = _sweep(graph, shards, faults)
+        assert pool_calls == [shards]
+        assert got == base
+        assert _records(net1) == _records(net0)
+        assert net1.fault_stats == net0.fault_stats
+        stats = net0.fault_stats
+        # The plan really perturbed the sweep.
+        assert stats["dropped_messages"] + stats["corrupted_messages"] + \
+            stats["crashed_nodes"] > 0
+
+    @pytest.mark.parametrize("family", sorted(SWEEP_FAMILIES))
+    def test_solver_identical_on_families(self, pool_calls, family):
+        graph = SWEEP_FAMILIES[family]()
+        base = solve_d1c(graph, seed=5, backend="slot")
+        got = solve_d1c(graph, seed=5, backend="slot", shards=3)
+        assert pool_calls and set(pool_calls) == {3}
+        assert got.coloring == base.coloring
+        assert (got.rounds, got.total_bits, got.max_edge_bits) == \
+            (base.rounds, base.total_bits, base.max_edge_bits)
 
     def test_small_sweeps_stay_serial(self):
         # Below the work gate the pool is never engaged (the decision is a
@@ -111,6 +193,30 @@ class TestShardedSweep:
                          for i in range(3)]
         assert max(chunk_weights) <= sum(weights)  # sanity
         assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
+
+    def test_partition_weights_caps_shards_at_item_count(self):
+        assert partition_weights([3, 1], 5) == [0, 1, 2]
+        assert partition_weights([], 3) == [0, 0]
+
+    def test_partition_weights_single_shard_is_everything(self):
+        assert partition_weights([4, 0, 9, 2], 1) == [0, 4]
+
+    def test_partition_weights_zero_weights_still_split(self):
+        bounds = partition_weights([0, 0, 0, 0], 2)
+        assert len(bounds) == 3 and bounds[0] == 0 and bounds[-1] == 4
+        assert bounds[0] < bounds[1] < bounds[2]
+
+    def test_partition_weights_rejects_non_positive_shards(self):
+        for shards in (0, -2):
+            with pytest.raises(ValueError):
+                partition_weights([1, 2, 3], shards)
+
+    def test_partition_weights_uniform_chunks_are_near_equal(self):
+        for n, shards in ((100, 7), (64, 8), (10, 3), (9, 9)):
+            bounds = partition_weights([5] * n, shards)
+            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+            assert len(sizes) == shards and sum(sizes) == n
+            assert max(sizes) - min(sizes) <= 1, (n, shards, sizes)
 
     def test_network_rejects_bad_shards(self):
         with pytest.raises(ValueError):
