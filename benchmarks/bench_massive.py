@@ -1,14 +1,15 @@
 """Sharded-vs-serial head-to-head on the ``massive`` suite.
 
 For each selected scenario this driver runs the workload twice — serial
-execution on ``--backend`` (slot by default, columnar for the flat-array
-core) and ``--shards N`` partition-parallel execution — verifies the two
+execution on ``--backend`` (columnar by default; ``dict`` is the backend
+whose similarity sweeps reach the shard pool) and ``--shards N``
+partition-parallel execution — verifies the two
 aggregates are **byte-identical** (the sharded layer's core contract), and
 records both wall-clocks plus peak RSS::
 
     PYTHONPATH=src python benchmarks/bench_massive.py --smoke          # n=50k tier
     PYTHONPATH=src python benchmarks/bench_massive.py --tier n200k    # n=200k tier
-    PYTHONPATH=src python benchmarks/bench_massive.py --smoke --backend columnar
+    PYTHONPATH=src python benchmarks/bench_massive.py --smoke --backend dict
     PYTHONPATH=src python benchmarks/bench_massive.py --only massive-ring-n200000-d1c
     PYTHONPATH=src python benchmarks/bench_massive.py --tier n500k --progress --trace /tmp/traces
 
@@ -53,7 +54,7 @@ def _children_peak_rss_mb() -> float:
     return round(peak / (1024.0 * 1024.0), 1)
 
 
-def _leg_main(conn, name: str, shards, workers: int, backend: str = "slot",
+def _leg_main(conn, name: str, shards, workers: int, backend: str = "columnar",
               progress: bool = False, trace_dir=None) -> None:
     """Run one (scenario, shard-setting) leg and report back over a pipe."""
     from repro.experiments import aggregate_suite, canonical_dumps, run_suite
@@ -88,7 +89,7 @@ def _leg_main(conn, name: str, shards, workers: int, backend: str = "slot",
     conn.close()
 
 
-def _measure_leg(name: str, shards, workers: int, backend: str = "slot",
+def _measure_leg(name: str, shards, workers: int, backend: str = "columnar",
                  progress: bool = False, trace_dir=None):
     """One leg in a forked subprocess, so per-leg RSS is honest.
 
@@ -135,7 +136,7 @@ def _measure_leg(name: str, shards, workers: int, backend: str = "slot",
 
 
 def run_head_to_head(names, shards: int, workers: int = 1,
-                     backend: str = "slot", progress: bool = False,
+                     backend: str = "columnar", progress: bool = False,
                      trace_dir=None):
     entries = {}
     cpus = _cpus()
@@ -195,10 +196,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="trial worker processes (scenarios are single-"
                              "trial, so 1 is the honest timing setting)")
-    parser.add_argument("--backend", choices=["dict", "batch", "slot", "columnar"],
-                        default="slot",
-                        help="transport backend for both legs (default: slot; "
-                             "columnar needs numpy)")
+    parser.add_argument("--backend", choices=["columnar", "dict"],
+                        default="columnar",
+                        help="transport backend for both legs (default: "
+                             "columnar; only dict routes the similarity "
+                             "sweep through the shard pool)")
     parser.add_argument("--out", type=Path, default=REPO_ROOT,
                         help="directory for the snapshot")
     parser.add_argument("--progress", action="store_true",

@@ -16,7 +16,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import DEFAULT_BACKEND, Network
 from repro.core.d1lc import _build_result
 from repro.core.params import ColoringParameters
 from repro.core.problem import ColoringInstance
@@ -34,7 +34,7 @@ def johansson_coloring(
     seed: int = 0,
     max_iterations: Optional[int] = None,
     params: Optional[ColoringParameters] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,

@@ -10,7 +10,7 @@ be run without writing Python::
     python -m repro.cli baseline   --n 200 --p 0.08
     python -m repro.cli suite list
     python -m repro.cli suite run smoke --workers 4
-    python -m repro.cli suite run scale --backend slot
+    python -m repro.cli suite run scale --backend dict --shards 2
     python -m repro.cli suite run smoke --profile --out /tmp/prof
     python -m repro.cli suite run smoke --faults drop=0.01,corrupt=1e-4
     python -m repro.cli suite run robustness --workers 4
@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.baselines import johansson_coloring
-from repro.congest import Network
+from repro.congest import DEFAULT_BACKEND, TRANSPORT_BACKENDS, Network
 from repro.core import ColoringParameters, solve_d1c, solve_d1lc, solve_delta_plus_one
 from repro.core.acd import compute_acd
 from repro.graphs import (
@@ -619,12 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=["batch", "dict", "slot", "columnar"],
-                       default="batch",
+        p.add_argument("--backend", choices=TRANSPORT_BACKENDS,
+                       default=DEFAULT_BACKEND,
                        help="transport backend (identical accounting; 'dict' is "
-                            "the per-message reference implementation, 'slot' the "
-                            "CSR-routed large-n fast path, 'columnar' the "
-                            "numpy flat-array core)")
+                            "the per-message reference implementation, "
+                            "'columnar' the numpy flat-array core)")
 
     def add_shards_option(p: argparse.ArgumentParser, default: int = 1) -> None:
         p.add_argument("--shards", type=int, default=default,
@@ -687,10 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_suite_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (results are identical for any count)")
-        p.add_argument("--backend", choices=["batch", "dict", "slot", "columnar"],
+        p.add_argument("--backend", choices=TRANSPORT_BACKENDS,
                        default=None,
-                       help="override every scenario's transport backend "
-                            "('columnar' needs numpy)")
+                       help="override every scenario's transport backend")
         p.add_argument("--shards", type=int, default=None,
                        help="override every scenario's shard count "
                             "(bit-identical aggregates for any value)")

@@ -6,7 +6,8 @@ reproduction runs on.  It is layered (see DESIGN.md):
 * :class:`~repro.congest.topology.Topology` — immutable CSR-style adjacency;
 * :class:`~repro.congest.transport.Transport` — pluggable delivery backends
   (:class:`~repro.congest.transport.DictTransport` reference semantics,
-  :class:`~repro.congest.transport.BatchTransport` batched fast path);
+  :class:`~repro.congest.columnar.transport.ColumnarTransport` default
+  fast path);
 * :class:`~repro.metrics.ledger.Ledger` — pluggable bandwidth accounting.
 
 A :class:`~repro.congest.network.Network` facade wires the three together and
@@ -25,9 +26,7 @@ from repro.congest.bandwidth import payload_bits
 from repro.congest.message import Message
 from repro.congest.topology import Topology
 from repro.congest.transport import (
-    BatchTransport,
     DictTransport,
-    SlotTransport,
     TRANSPORT_BACKENDS,
     Transport,
     make_transport,
@@ -43,8 +42,6 @@ __all__ = [
     "Topology",
     "Transport",
     "DictTransport",
-    "BatchTransport",
-    "SlotTransport",
     "TRANSPORT_BACKENDS",
     "make_transport",
     "DEFAULT_BACKEND",

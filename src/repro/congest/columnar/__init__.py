@@ -1,11 +1,10 @@
 """Columnar execution core: flat-array state + vectorized CSR routing.
 
-``backend="columnar"`` replaces the hot per-round Python loops of the slot
-backend with flat numpy columns wherever the work is vectorizable while
-keeping every observable byte — ledgers, inboxes, colorings, fault counters —
-identical to the slot backend (the equivalence suite runs all four backends
-against the ``dict`` reference).  The package splits along the byte-identity
-seams:
+``backend="columnar"`` (the default) replaces the hot per-round Python loops
+with flat numpy columns wherever the work is vectorizable while keeping
+every observable byte — ledgers, inboxes, colorings, fault counters —
+identical to the ``dict`` reference backend (the equivalence suite runs
+both).  The package splits along the byte-identity seams:
 
 * :mod:`~repro.congest.columnar.kernels` — uint64-array twins of the scalar
   splitmix64 hashing kernels (``mix64_step`` / ``combine_part_keys`` /
@@ -19,33 +18,4 @@ seams:
   ``EstimateSimilarity`` sweep behind every graph-wide similarity caller
   (the ACD buddy test, the dominant compute of every large coloring run,
   plus triangle detection and sparsity estimation).
-
-numpy is an *optional* dependency of the repo as a whole: every module here
-degrades to ``HAVE_NUMPY = False`` importably, and only constructing the
-columnar backend (or calling a kernel) raises the clean :class:`ImportError`
-below.  On the dict/batch/slot backends the only call into this package is
-the sweep's own decline check, which returns before any numpy use.
 """
-
-from __future__ import annotations
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    HAVE_NUMPY = False
-
-#: The one message a numpy-less install sees when asking for the columnar
-#: backend — actionable, and explicit that the pure-Python backends remain.
-NUMPY_HINT = (
-    "the 'columnar' backend requires numpy, which is not installed; "
-    "install numpy or use backend='slot' (the pure-Python large-n fast "
-    "path, byte-identical to columnar)"
-)
-
-
-def require_numpy() -> None:
-    """Raise a clean, actionable ImportError when numpy is missing."""
-    if not HAVE_NUMPY:
-        raise ImportError(NUMPY_HINT)

@@ -5,20 +5,17 @@ A broadcast round is one ``offsets``/``storage`` pair: ``offsets[i] ..
 offsets[i+1]`` delimit sender ``i``'s run in ``storage`` (payload contents)
 and ``receiver_slots`` (destination slots), in the sender's CSR adjacency
 order.  Written sender-side in one vectorized gather, read receiver-side in
-exactly the order the slot backend fills inboxes — sender-major, receivers
-in CSR row order — so the resulting inbox dicts reproduce the slot backend's
-insertion sequence byte for byte (``tests/test_columnar.py`` pins the
-round-trip, including zero-bit and max-width messages).
+exactly the order the reference backend fills broadcast inboxes —
+sender-major, receivers in CSR row order — so the resulting inbox dicts
+reproduce its insertion sequence byte for byte (``tests/test_columnar.py``
+pins the round-trip, including zero-bit and max-width messages).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - package is importable without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 def _object_array(payloads: Sequence[object]) -> "np.ndarray":
@@ -73,8 +70,8 @@ class CsrRoundBuffer:
         """Yield ``(sender_slot, receiver_slot, payload)`` in storage order.
 
         Storage order is sender-major (senders in send order, receivers in
-        CSR row order) — the exact insertion sequence of the slot backend's
-        inbox fill.
+        CSR row order) — the exact insertion sequence of the reference
+        backend's broadcast inbox fill.
         """
         senders = self.sender_slots.tolist()
         offsets = self.offsets.tolist()
@@ -83,14 +80,3 @@ class CsrRoundBuffer:
         for i, sender in enumerate(senders):
             for pos in range(offsets[i], offsets[i + 1]):
                 yield sender, receivers[pos], payloads[pos]
-
-    def fill_inboxes(self, inboxes: List[dict], nodes: Sequence[object]) -> None:
-        """Read-side: replay the buffer into per-slot inbox dicts.
-
-        ``inboxes`` is indexed by receiver slot; senders are boxed back to
-        node objects via ``nodes``.  Insertion order per receiver equals the
-        slot backend's because :meth:`entries` is sender-major.
-        """
-        for sender_slot, receiver_slot, payload in self.entries():
-            inboxes[receiver_slot][nodes[sender_slot]] = payload
-

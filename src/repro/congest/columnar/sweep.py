@@ -50,10 +50,7 @@ import hashlib
 import random
 from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - package is importable without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.congest.columnar.kernels import (
     element_keys_array,

@@ -1,9 +1,9 @@
-"""The ``columnar`` transport backend: vectorized CSR routing + accounting.
+"""The ``columnar`` transport backend: the default, numpy-routed fast path.
 
-:class:`ColumnarTransport` subclasses the slot backend and keeps its
-observable contract — same delivered payloads, same sender-major inbox
-insertion order, same ledger rounds/labels/counts/bits/maxima — while moving
-the per-round arithmetic off the Python interpreter:
+:class:`ColumnarTransport` keeps the observable contract of the ``dict``
+reference — same delivered payloads, same sender-major inbox insertion
+order, same ledger rounds/labels/counts/bits/maxima — while moving the
+per-round arithmetic off the Python interpreter:
 
 * ``broadcast`` sizes and accounts all senders in one vectorized pass over
   the topology CSR (degree gather, ``bits * degree`` sums, worst-edge argmax)
@@ -17,27 +17,26 @@ the per-round arithmetic off the Python interpreter:
   histogram dicts with ``np.bincount`` / ``np.maximum.at`` over the size
   array — identical records, O(edges) numpy instead of O(edges) Python.
 
-Per-edge ``exchange`` rounds are inherited from the batch path unchanged:
-their payloads are per-edge Python objects either way, and the equivalence
-suite pins that path already.  The byte-identity of every override is pinned
-by ``tests/test_columnar.py`` and the four-backend equivalence matrix.
+Per-edge ``exchange`` rounds and broadcasts with restricted recipients stay
+scalar: their payloads are per-edge Python objects either way.  They size
+through one identity memo pooled across rounds and defer the bandwidth
+check to a single audit per round.  The byte-identity of every path is
+pinned by ``tests/test_columnar.py`` and the cross-backend equivalence
+matrix.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - package is importable without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from repro.congest.columnar import require_numpy
+from repro.congest.bandwidth import payload_bits
 from repro.congest.columnar.buffers import CsrRoundBuffer
-from repro.congest.errors import BandwidthExceeded
+from repro.congest.errors import BandwidthExceeded, ProtocolError
 from repro.congest.message import Message
 from repro.congest.topology import Topology
-from repro.congest.transport import EMPTY_INBOX, SlotTransport, _memoized_bits
+from repro.congest.transport import EMPTY_INBOX, Transport
 from repro.metrics.ledger import Ledger
 
 Node = Any
@@ -51,8 +50,38 @@ _VECTOR_MIN_SIZES = 1024
 _VECTOR_MAX_ROUNDS = 4_000_000
 
 
-class ColumnarTransport(SlotTransport):
-    """Flat-array sibling of :class:`~repro.congest.transport.SlotTransport`."""
+def _memoized_bits(payload: Any, memo: Dict[int, int]) -> int:
+    """Charge for ``payload``, memoized by object identity within one round.
+
+    The single sizing rule for every columnar path (exchange, broadcast and
+    chunked): a ``Message`` is charged its declared bits; anything else goes
+    through :func:`payload_bits` once per distinct object (a broadcast reuses
+    one payload object for all recipients).  Identity keys are safe because the
+    caller's message mapping keeps every payload alive for the whole round.
+    """
+    if isinstance(payload, Message):
+        return payload.bits
+    key = id(payload)
+    bits = memo.get(key)
+    if bits is None:
+        bits = payload_bits(payload)
+        memo[key] = bits
+    return bits
+
+
+class ColumnarTransport(Transport):
+    """Default backend: bulk sizing, deferred audit, numpy CSR routing.
+
+    The observable behavior (delivered payloads, ledger entries) matches
+    :class:`~repro.congest.transport.DictTransport` for every in-budget
+    round.  On violating rounds the *reported* error may differ: edges are
+    validated inline but the budget audit is deferred to the end of the
+    round, so with several violations in one round ``dict`` raises for the
+    first offending entry in iteration order while ``columnar`` raises the
+    edge error it hits first or a :class:`BandwidthExceeded` for the largest
+    payload (a broadcast's worst edge is found in CSR order).  Either way
+    the round is rejected before it is recorded.
+    """
 
     name = "columnar"
     #: The ACD's buddy sweep asks for this before taking its vectorized path,
@@ -62,13 +91,68 @@ class ColumnarTransport(SlotTransport):
 
     def __init__(self, topology: Topology, mode: str, bandwidth_bits: int,
                  ledger: Ledger):
-        require_numpy()
         super().__init__(topology, mode, bandwidth_bits, ledger)
+        self._size_memo: Dict[int, int] = {}
         # array("l") exposes the buffer protocol, so these are zero-copy
         # int64 views of the topology CSR.
         self._np_indptr = np.asarray(topology.indptr, dtype=np.int64)
         self._np_indices = np.asarray(topology.indices, dtype=np.int64)
         self._np_degrees = np.diff(self._np_indptr)
+
+    def _round_memo(self) -> Dict[int, int]:
+        """The payload-sizing memo, pooled across rounds and cleared per round.
+
+        An ``id()`` key is only valid for the round that computed it: a
+        payload object is guaranteed alive only while its round's message
+        mapping holds it, so entries never survive into the next round.
+        """
+        memo = self._size_memo
+        memo.clear()
+        return memo
+
+    # -------------------------------------------------------------- per-edge
+    def _deliver(self, messages: Mapping[DirectedEdge, Any], label: str,
+                 validate: bool) -> Dict[DirectedEdge, Any]:
+        neighbor_sets = self.topology.neighbor_sets
+        total_bits = 0
+        max_edge_bits = 0
+        worst_edge: Optional[DirectedEdge] = None
+        delivered: Dict[DirectedEdge, Any] = {}
+        size_memo = self._round_memo()
+        for edge, payload in messages.items():
+            if validate:
+                sender, receiver = edge
+                nbrs = neighbor_sets.get(sender)
+                if nbrs is None or receiver not in nbrs:
+                    # Raises the reference backend's ProtocolError.
+                    self._validate_edge(sender, receiver)
+            bits = _memoized_bits(payload, size_memo)
+            delivered[edge] = payload.content if isinstance(payload, Message) else payload
+            total_bits += bits
+            if bits > max_edge_bits:
+                max_edge_bits = bits
+                worst_edge = edge
+        if (
+            self.mode == "congest"
+            and max_edge_bits > self.bandwidth_bits
+            and worst_edge is not None
+        ):
+            raise BandwidthExceeded(
+                worst_edge, max_edge_bits, self.bandwidth_bits, label
+            )
+        self.ledger.record_round(label, len(delivered), total_bits, max_edge_bits)
+        return delivered
+
+    def exchange(self, messages: Mapping[DirectedEdge, Any],
+                 label: str = "exchange") -> Dict[DirectedEdge, Any]:
+        return self._deliver(messages, label, validate=True)
+
+    def _sizes(self, messages: Mapping[DirectedEdge, Any]) -> Dict[DirectedEdge, int]:
+        size_memo = self._round_memo()
+        return {
+            edge: _memoized_bits(payload, size_memo)
+            for edge, payload in messages.items()
+        }
 
     # ------------------------------------------------------------- broadcast
     def _account_broadcast(
@@ -78,7 +162,7 @@ class ColumnarTransport(SlotTransport):
         """Vectorized ledger arithmetic for one broadcast round.
 
         Returns ``(message_count, total_bits, max_edge_bits)`` after the
-        budget audit, matching the slot backend's running-loop accounting:
+        budget audit, matching a running per-sender loop's accounting:
         isolated senders contribute nothing, and the audited worst edge is
         the first sender (in send order) attaining the maximal per-edge bits,
         paired with the head of its CSR row.
@@ -107,8 +191,8 @@ class ColumnarTransport(SlotTransport):
     ) -> Tuple[List[Node], List[Any], "np.ndarray", "np.ndarray"]:
         """Scalar prologue: slot + sized bits + unwrapped content per sender.
 
-        Sizing goes through the same pooled identity memo as the slot
-        backend (``_round_memo``), and an unknown sender raises the canonical
+        Sizing goes through the same pooled identity memo as per-edge
+        rounds (``_round_memo``), and an unknown sender raises the canonical
         ProtocolError at the same position in send order.
         """
         topology = self.topology
@@ -138,11 +222,7 @@ class ColumnarTransport(SlotTransport):
         senders_only_to: Optional[Mapping[Node, Iterable[Node]]] = None,
     ) -> Dict[Node, Mapping[Node, Any]]:
         if senders_only_to is not None:
-            # Restricted recipients are rare and per-sender small; the batch
-            # path (validated per recipient) already handles them well.
-            return super().broadcast(
-                values, label=label, senders_only_to=senders_only_to
-            )
+            return self._broadcast_restricted(values, label, senders_only_to)
         nodes = self.topology.nodes
         senders, contents, slots, bits = self._collect_senders(values)
         message_count, total_bits, max_edge_bits = self._account_broadcast(
@@ -152,8 +232,8 @@ class ColumnarTransport(SlotTransport):
             self._np_indptr, self._np_indices, slots, contents
         )
         # Replay the buffer receiver-side.  Storage order is sender-major
-        # with receivers in CSR row order — the slot backend's exact inbox
-        # insertion sequence — and slot-indexed boxes replace per-node dict
+        # with receivers in CSR row order — the reference's inbox insertion
+        # sequence — and slot-indexed boxes replace per-node dict
         # lookups in the one loop that must stay Python (payloads are boxed).
         boxes: List[Any] = [EMPTY_INBOX] * len(nodes)
         offsets = buffer.offsets.tolist()
@@ -169,6 +249,36 @@ class ColumnarTransport(SlotTransport):
                 box[sender] = payloads[p]
         self.ledger.record_round(label, message_count, total_bits, max_edge_bits)
         return dict(zip(nodes, boxes))
+
+    def _broadcast_restricted(
+        self,
+        values: Mapping[Node, Any],
+        label: str,
+        senders_only_to: Mapping[Node, Iterable[Node]],
+    ) -> Dict[Node, Mapping[Node, Any]]:
+        """Scalar broadcast where some senders reach only listed neighbours.
+
+        Restricted recipients are rare and per-sender small, so the round is
+        materialised as per-edge messages (each listed recipient validated
+        here) and delivered like an ``exchange``.
+        """
+        neighbors = self.topology.neighbors
+        messages: Dict[DirectedEdge, Any] = {}
+        for sender, payload in values.items():
+            nbrs = neighbors(sender)  # validates the sender exists
+            if sender in senders_only_to:
+                for receiver in senders_only_to[sender]:
+                    if receiver not in nbrs:
+                        raise ProtocolError(
+                            f"{sender!r} cannot broadcast to non-neighbour {receiver!r}"
+                        )
+                    messages[(sender, receiver)] = payload
+            else:
+                for receiver in nbrs:
+                    messages[(sender, receiver)] = payload
+        # Recipients were validated above, so delivery can skip edge checks.
+        delivered = self._deliver(messages, label, validate=False)
+        return self._inboxes(delivered)
 
     def broadcast_discard(
         self, values: Mapping[Node, Any], label: str = "broadcast"
@@ -241,7 +351,7 @@ class ColumnarTransport(SlotTransport):
         chunks = -(-positive // budget)  # ceil-divide, like the scalar path
         total_rounds = int(chunks.max())
         if total_rounds > _VECTOR_MAX_ROUNDS:
-            SlotTransport._charge_chunked_rounds(
+            Transport._charge_chunked_rounds(
                 self, label, dict(enumerate(sizes.tolist()))
             )
             return

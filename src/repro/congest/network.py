@@ -6,9 +6,8 @@ communication engine (see DESIGN.md):
 * :class:`~repro.congest.topology.Topology` — immutable CSR-style adjacency
   (cached node list, neighbor sets, degrees, contiguous node index);
 * :class:`~repro.congest.transport.Transport` — the delivery mechanics,
-  selected via ``backend=`` (``"batch"`` by default, ``"dict"`` for the
-  per-message reference semantics, ``"slot"`` for the CSR-routed large-n
-  fast path);
+  selected via ``backend=`` (``"columnar"`` by default, the numpy-routed
+  fast path; ``"dict"`` for the per-message reference semantics);
 * :class:`~repro.metrics.ledger.Ledger` — the bandwidth accounting, selected
   via ``ledger=`` (``"records"`` keeps the full round history, ``"counters"``
   keeps aggregates only for big runs).
@@ -46,7 +45,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 Node = Hashable
 DirectedEdge = Tuple[Node, Node]
 
-DEFAULT_BACKEND = "batch"
+DEFAULT_BACKEND = "columnar"
 
 
 class Network:
@@ -69,10 +68,10 @@ class Network:
         uses ``O(log n)`` bits) while leaving room for the constant factors
         that the paper hides in Θ-notation.
     backend:
-        Transport backend: ``"batch"`` (default), ``"dict"``, or ``"slot"``.
-        All charge identical ledgers; ``"dict"`` keeps the original
-        message-at-a-time reference implementation and ``"slot"`` is the
-        CSR-routed large-n fast path.
+        Transport backend: ``"columnar"`` (default) or ``"dict"``.  Both
+        charge identical ledgers; ``"dict"`` keeps the original
+        message-at-a-time reference implementation and ``"columnar"`` is
+        the numpy-routed fast path.
     ledger:
         Ledger kind (``"records"`` / ``"counters"``) or a
         :class:`~repro.metrics.ledger.Ledger` instance to share.

@@ -25,7 +25,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import DEFAULT_BACKEND, Network
 from repro.core.acd import compute_acd
 from repro.core.dense_phase import run_dense_phase
 from repro.core.params import ColoringParameters
@@ -67,7 +67,7 @@ def solve_instance(
     mode: str = "congest",
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
@@ -76,7 +76,7 @@ def solve_instance(
 ) -> ColoringResult:
     """Run the full D1LC pipeline on a prepared instance.
 
-    ``backend`` selects the transport engine (``"batch"`` / ``"dict"``) and
+    ``backend`` selects the transport engine (``"columnar"`` / ``"dict"``) and
     ``ledger`` the accounting depth (``"records"`` / ``"counters"``); both
     choices change performance only, never the reported rounds or bits.
 
@@ -137,7 +137,7 @@ def solve_d1lc(
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
     color_space: Optional[ColorSpace] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
@@ -149,7 +149,7 @@ def solve_d1lc(
     ``lists`` maps every node to its palette (at least ``d_v + 1`` colors); if
     omitted, the numeric D1C palettes ``{0..d_v}`` are used.  ``mode`` selects
     CONGEST (default) or LOCAL bandwidth accounting, ``backend`` the transport
-    engine (``"batch"`` / ``"dict"``).
+    engine (``"columnar"`` / ``"dict"``).
     """
     if lists is None:
         instance = ColoringInstance.d1c(graph)
@@ -168,7 +168,7 @@ def solve_d1c(
     mode: str = "congest",
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
@@ -190,7 +190,7 @@ def solve_delta_plus_one(
     mode: str = "congest",
     bandwidth_bits: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: str = "batch",
+    backend: str = DEFAULT_BACKEND,
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,

@@ -19,7 +19,7 @@ executable trial:
   historical ``bench_e*`` scripts — scenarios tagged
   ``e09``/``e11``/``e12``/``e16`` are the exact points those benchmarks now
   resolve via :func:`get_suite`.  ``scale`` is the large-n workload
-  (n = 2 000 / 10 000 / 50 000) unlocked by the slot transport and the
+  (n = 2 000 / 10 000 / 50 000) unlocked by the columnar transport and the
   slot-indexed simulation core; it runs single trials on the ``counters``
   ledger so wall-clock and memory stay bounded.  ``robustness`` sweeps the
   fault-intensity axis (:mod:`repro.faults`): drop/corruption rates, node
@@ -807,7 +807,10 @@ def validate_spec(spec: ScenarioSpec) -> None:
             f"(available: {', '.join(sorted(SOLVERS))})"
         )
     if spec.backend not in BACKENDS:
-        raise ValueError(f"{spec.name}: unknown backend {spec.backend!r}")
+        raise ValueError(
+            f"{spec.name}: unknown backend {spec.backend!r} "
+            f"(available: {', '.join(BACKENDS)})"
+        )
     if spec.ledger not in LEDGERS:
         raise ValueError(f"{spec.name}: unknown ledger {spec.ledger!r}")
     if spec.mode not in MODES:

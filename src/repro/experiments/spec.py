@@ -22,11 +22,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
+from repro.congest.network import DEFAULT_BACKEND
+from repro.congest.transport import TRANSPORT_BACKENDS
 from repro.utils.rng import derive_seed  # noqa: F401  (re-exported: the
 # seed-derivation chain now lives with the other deterministic-rng utilities
 # so the fault layer can share it without depending on the experiments layer)
 
-BACKENDS = ("batch", "columnar", "dict", "slot")
+BACKENDS = TRANSPORT_BACKENDS
 LEDGERS = ("records", "counters")
 MODES = ("congest", "local")
 
@@ -59,7 +61,7 @@ class ScenarioSpec:
     solver: str
     family_params: Mapping[str, object] = field(default_factory=dict)
     solver_params: Mapping[str, object] = field(default_factory=dict)
-    backend: str = "batch"
+    backend: str = DEFAULT_BACKEND
     ledger: str = "counters"
     mode: str = "congest"
     bandwidth_bits: object = None  # Optional[int]

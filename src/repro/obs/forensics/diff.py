@@ -63,7 +63,7 @@ def spec_payload(spec) -> Dict[str, Any]:
 def spec_from_payload(payload: Mapping[str, Any]):
     """Rebuild a runnable :class:`ScenarioSpec` from an embedded payload.
 
-    Performance knobs revert to their defaults (serial batch backend) —
+    Performance knobs revert to their defaults (serial columnar backend) —
     legitimate, because the digest chain is backend- and shard-neutral.
     Node identifiers survive only if they are JSON-native (int/str); every
     in-repo graph family uses int nodes.

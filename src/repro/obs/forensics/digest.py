@@ -10,8 +10,8 @@ properties carry the whole subsystem:
   it.
 * **Commutative multisets.** Per-round digests are *multiset* sums
   (64-bit wrapping sum of per-entry hashes, plus a count), not order-folded
-  chains.  The dict, batch, slot and columnar backends deliver the same
-  messages in different iteration orders; a commutative accumulator makes
+  chains.  The dict and columnar backends deliver the same messages in
+  different iteration orders; a commutative accumulator makes
   the per-round digest independent of delivery order.
 
 The only order-sensitive fold is the *chain* (:func:`fold_chain`), which
@@ -30,12 +30,9 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.hashing.keys import _MASK64, MIX64_INIT, element_key, mix64, mix64_step
+import numpy as np
 
-try:  # pragma: no cover - exercised only when numpy is absent
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from repro.hashing.keys import _MASK64, MIX64_INIT, element_key, mix64, mix64_step
 
 Node = Hashable
 
@@ -174,13 +171,12 @@ def delivery_entry_hashes(
     (sender, receiver) orientation, so an exchange and the broadcast that
     delivers identical bytes produce identical entries.
 
-    When numpy is available and every payload is a plain uint64-range int,
-    the whole batch runs through the pinned uint64 kernel twins.
+    When every payload is a plain uint64-range int, the whole batch runs
+    through the pinned uint64 kernel twins.
     """
     count = len(payloads)
     if (
-        np is not None
-        and count >= _VECTOR_MIN
+        count >= _VECTOR_MIN
         and all(type(p) is int and 0 <= p <= _MASK64 for p in payloads)
     ):
         from repro.congest.columnar.kernels import (

@@ -14,7 +14,7 @@ using the commutative multiset accumulators of
 shard-neutral by construction**: multiset sums ignore delivery order, and
 the header deliberately omits backend/ledger/shard knobs — so two runs of
 the same workload produce byte-identical ``DIGEST_*.jsonl`` streams across
-dict/batch/slot/columnar, shard counts and trial-worker counts.  That is
+dict and columnar, shard counts and trial-worker counts.  That is
 what makes a digest diff a *divergence* signal rather than a configuration
 echo.
 

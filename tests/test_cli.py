@@ -103,11 +103,11 @@ class TestSuiteCommands:
                      "--fresh", str(fresh)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_suite_run_slot_backend_matches_default_aggregate(self, capsys, tmp_path):
+    def test_suite_run_dict_backend_matches_default_aggregate(self, capsys, tmp_path):
         assert main(["suite", "run", "smoke", "--trials", "1",
                      "--only", "gnp-d1c", "--out", str(tmp_path / "a")]) == 0
         assert main(["suite", "run", "smoke", "--trials", "1",
-                     "--only", "gnp-d1c", "--backend", "slot",
+                     "--only", "gnp-d1c", "--backend", "dict",
                      "--out", str(tmp_path / "b")]) == 0
         a = (tmp_path / "a" / "BENCH_suite.json").read_bytes()
         b = (tmp_path / "b" / "BENCH_suite.json").read_bytes()

@@ -1,13 +1,14 @@
 """Columnar core: kernels, buffers and accounting pinned bit-for-bit.
 
 The columnar backend's contract (DESIGN.md "Columnar core invariants") is
-byte-identity with the slot backend.  The end-to-end half of that contract
-lives in the four-backend equivalence matrix (``test_transport_equivalence``)
-and the shard triangle (``test_shard``); this module pins the *pieces* —
-vectorized splitmix64 kernels against the scalar implementations, CSR round
-buffers against the slot backend's inbox fill, vectorized chunk accounting
-against a literal chunk-by-chunk simulation — so a drift in any one layer fails
-here with a precise finger instead of as an opaque end-to-end diff.
+byte-identity with the ``dict`` reference backend.  The end-to-end half of
+that contract lives in the cross-backend equivalence matrix
+(``test_transport_equivalence``) and the shard triangle (``test_shard``); this
+module pins the *pieces* — vectorized splitmix64 kernels against the scalar
+implementations, CSR round buffers against the reference inbox fill,
+vectorized chunk accounting against a literal chunk-by-chunk simulation — so a
+drift in any one layer fails here with a precise finger instead of as an
+opaque end-to-end diff.
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ import dataclasses
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Message, Network
-from repro.congest.columnar import HAVE_NUMPY, NUMPY_HINT
 from repro.congest.columnar.buffers import CsrRoundBuffer
 from repro.congest.columnar.kernels import (
     element_keys_array,
@@ -128,25 +126,25 @@ class TestKernelParity:
 # CSR round buffers: write sender-side, read receiver-side in slot order
 # --------------------------------------------------------------------------- #
 
-def _slot_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
+def _dict_vs_columnar_broadcast(graph, values, bandwidth_bits=64):
     nets = [Network(graph, backend=b, bandwidth_bits=bandwidth_bits,
-                    ledger="records") for b in ("slot", "columnar")]
+                    ledger="records") for b in ("dict", "columnar")]
     inboxes = [net.broadcast(values, label="b") for net in nets]
     return nets, inboxes
 
 
 class TestCsrRoundBuffer:
-    def test_round_trip_reproduces_slot_inboxes_and_order(self):
+    def test_round_trip_reproduces_dict_inboxes_and_order(self):
         graph = nx.random_geometric_graph(40, 0.3, seed=3)
         values = {v: Message(content=(v, "payload"), bits=17)
                   for v in list(graph.nodes())[::2]}
-        nets, (slot_in, col_in) = _slot_vs_columnar_broadcast(graph, values)
+        nets, (dict_in, col_in) = _dict_vs_columnar_broadcast(graph, values)
         assert {v: dict(b) for v, b in col_in.items()} == \
-            {v: dict(b) for v, b in slot_in.items()}
+            {v: dict(b) for v, b in dict_in.items()}
         # insertion order per receiver must match too (seeded algorithms
         # iterate inbox.items() and consume randomness in that order)
         assert {v: list(b) for v, b in col_in.items()} == \
-            {v: list(b) for v, b in slot_in.items()}
+            {v: list(b) for v, b in dict_in.items()}
         assert nets[0].ledger.records == nets[1].ledger.records
 
     def test_entries_are_sender_major_in_csr_row_order(self):
@@ -192,10 +190,10 @@ class TestCsrRoundBuffer:
             ))
             bits = data.draw(st.sampled_from([0, 1, budget]))
             values[v] = Message(content=payload, bits=bits)
-        nets, (slot_in, col_in) = _slot_vs_columnar_broadcast(
+        nets, (dict_in, col_in) = _dict_vs_columnar_broadcast(
             graph, values, bandwidth_bits=budget)
         for v, box in col_in.items():
-            assert dict(box) == dict(slot_in[v])
+            assert dict(box) == dict(dict_in[v])
             for sender, content in box.items():
                 assert content is values[sender].content
         assert nets[0].ledger.records == nets[1].ledger.records
@@ -257,27 +255,27 @@ class TestChunkedAccounting:
         rng = random.Random(99)
         graph = nx.path_graph(6)
         sizes = {(i, i + 1): rng.randrange(0, 120) for i in range(5)}
-        slot_net = Network(graph, backend="slot", bandwidth_bits=7,
+        dict_net = Network(graph, backend="dict", bandwidth_bits=7,
                            ledger="records")
         col_net = Network(graph, backend="columnar", bandwidth_bits=7,
                           ledger="records")
         monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)  # force the array path
-        slot_net.transport._charge_chunked_rounds("c", sizes)
+        dict_net.transport._charge_chunked_rounds("c", sizes)
         col_net.transport._charge_chunked_rounds("c", sizes)
-        assert col_net.ledger.records == slot_net.ledger.records
+        assert col_net.ledger.records == dict_net.ledger.records
 
     def test_beyond_int64_payload_falls_back_to_scalar(self, monkeypatch):
         import repro.congest.columnar.transport as ct
 
         monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)
         sizes = {(0, 1): 1 << 80}  # OverflowError on fromiter
-        slot_net = Network(nx.path_graph(3), backend="slot",
+        dict_net = Network(nx.path_graph(3), backend="dict",
                            bandwidth_bits=1 << 70, ledger="records")
         col_net = Network(nx.path_graph(3), backend="columnar",
                           bandwidth_bits=1 << 70, ledger="records")
-        slot_net.transport._charge_chunked_rounds("big", sizes)
+        dict_net.transport._charge_chunked_rounds("big", sizes)
         col_net.transport._charge_chunked_rounds("big", sizes)
-        assert col_net.ledger.records == slot_net.ledger.records
+        assert col_net.ledger.records == dict_net.ledger.records
 
 
 # --------------------------------------------------------------------------- #
@@ -298,7 +296,7 @@ class TestBroadcastDiscard:
         graph = nx.star_graph(6)
         values = {0: Message(content="hub", bits=12), 3: 7}
         records = []
-        for backend in ("dict", "batch", "slot", "columnar"):
+        for backend in ("dict", "columnar"):
             net = Network(graph, backend=backend, ledger="records")
             assert net.broadcast_discard(values, label="d") is None
             records.append(net.ledger.records)
@@ -320,24 +318,32 @@ class TestBroadcastDiscard:
 
 
 # --------------------------------------------------------------------------- #
-# Import gating: numpy-less installs get one clean, actionable error
+# Backend selection: columnar is the default, two names are accepted
 # --------------------------------------------------------------------------- #
 
-class TestNumpyGating:
-    def test_have_numpy_is_true_here(self):
-        assert HAVE_NUMPY  # the suite imported numpy above
-
-    def test_require_numpy_raises_the_hint(self, monkeypatch):
-        import repro.congest.columnar as pkg
-
-        monkeypatch.setattr(pkg, "HAVE_NUMPY", False)
-        with pytest.raises(ImportError, match="backend='slot'"):
-            pkg.require_numpy()
-        assert "numpy" in NUMPY_HINT and "slot" in NUMPY_HINT
-
+class TestBackendSelection:
     def test_backend_listing_includes_columnar(self):
         from repro.congest.transport import TRANSPORT_BACKENDS
 
-        assert "columnar" in TRANSPORT_BACKENDS
+        assert TRANSPORT_BACKENDS == ("columnar", "dict")
         net = Network(nx.path_graph(3), backend="columnar")
         assert net.backend == "columnar"
+
+    @pytest.mark.parametrize("retired", ["batch", "slot"])
+    def test_retired_backend_names_are_rejected(self, retired, capsys):
+        from repro.cli import build_parser
+        from repro.experiments import ScenarioSpec
+        from repro.experiments.registry import validate_spec
+
+        with pytest.raises(ValueError, match=r"\['columnar', 'dict'\]"):
+            Network(nx.path_graph(3), backend=retired)
+        spec = ScenarioSpec(name="tiny", family="gnp", solver="d1c",
+                            family_params={"n": 12, "p": 0.3},
+                            backend=retired)
+        with pytest.raises(ValueError, match="available: columnar, dict"):
+            validate_spec(spec)
+        for argv in (["color", "--backend", retired],
+                     ["suite", "run", "smoke", "--backend", retired]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert "choose from 'columnar', 'dict'" in capsys.readouterr().err

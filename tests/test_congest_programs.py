@@ -23,11 +23,10 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.congest.columnar import HAVE_NUMPY
 from repro.graphs import gnp_fast_graph, random_geometric_graph, ring_of_cliques
 from repro.utils.rng import RngStream
 
-BACKENDS = ("dict", "batch", "slot") + (("columnar",) if HAVE_NUMPY else ())
+BACKENDS = ("dict", "columnar")
 
 
 # --------------------------------------------------------------------------- #

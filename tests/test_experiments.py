@@ -88,12 +88,12 @@ class TestRegistry:
         assert all("scale" in spec.tags for spec in specs)
         assert all(spec.trials == 1 for spec in specs)
         assert any("n50k" in spec.tags for spec in specs)
-        # The slot backend must be a valid override for every scale scenario.
+        # The dict backend must be a valid override for every scale scenario.
         for spec in specs:
-            validate_spec(dataclasses.replace(spec, backend="slot"))
+            validate_spec(dataclasses.replace(spec, backend="dict"))
 
-    def test_slot_backend_is_registered(self):
-        validate_spec(dataclasses.replace(TINY_SPECS[0], backend="slot"))
+    def test_dict_backend_is_registered(self):
+        validate_spec(dataclasses.replace(TINY_SPECS[0], backend="dict"))
 
     def test_validate_spec_rejects_bad_fields(self):
         good = TINY_SPECS[0]
@@ -157,12 +157,10 @@ class TestRunner:
             assert a == b
 
     def test_backend_does_not_change_aggregates(self):
-        batch = run_scenarios(TINY_SPECS, suite="tiny")
-        for backend in ("dict", "slot"):
-            other_specs = [dataclasses.replace(s, backend=backend)
-                           for s in TINY_SPECS]
-            other = run_scenarios(other_specs, suite="tiny")
-            assert aggregate_suite(batch) == aggregate_suite(other), backend
+        columnar = run_scenarios(TINY_SPECS, suite="tiny")
+        dict_specs = [dataclasses.replace(s, backend="dict") for s in TINY_SPECS]
+        reference = run_scenarios(dict_specs, suite="tiny")
+        assert aggregate_suite(columnar) == aggregate_suite(reference)
 
     def test_run_suite_only_filter(self):
         result = run_suite("smoke", only=["gnp-d1c"], trials=1)
@@ -492,11 +490,9 @@ class TestFaultedScenarios:
 
     def test_backend_override_keeps_faulted_aggregate(self):
         base = run_scenarios([self.FAULTED], suite="tiny")
-        for backend in ("dict", "slot"):
-            other = run_scenarios(
-                [dataclasses.replace(self.FAULTED, backend=backend)],
-                suite="tiny")
-            assert aggregate_suite(base) == aggregate_suite(other), backend
+        other = run_scenarios(
+            [dataclasses.replace(self.FAULTED, backend="dict")], suite="tiny")
+        assert aggregate_suite(base) == aggregate_suite(other)
 
     def test_compare_rejects_fault_plan_drift(self):
         baseline = aggregate_suite(run_scenarios([self.FAULTED], suite="tiny"))

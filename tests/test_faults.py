@@ -163,15 +163,15 @@ class TestFaultyTransport:
     def test_noop_plan_is_never_wrapped(self):
         graph = small_graph()
         topology = Topology(graph)
-        inner = make_transport("batch", topology, "congest", 64, make_ledger(None))
+        inner = make_transport("columnar", topology, "congest", 64, make_ledger(None))
         same = make_transport(inner, topology, "congest", 64, inner.ledger,
                               faults={})
         assert same is inner
         net = Network(graph, faults=None)
-        assert net.backend == "batch" and net.fault_stats is None
+        assert net.backend == "columnar" and net.fault_stats is None
         # An empty plan is fault-free everywhere — including when adopting
         # an already-built transport instance.
-        assert Network(graph, backend=inner, faults={}).backend == "batch"
+        assert Network(graph, backend=inner, faults={}).backend == "columnar"
         with pytest.raises(ValueError, match="already-built"):
             Network(graph, backend=inner, faults={"drop": 0.5})
 
@@ -179,7 +179,7 @@ class TestFaultyTransport:
         graph = small_graph()
         topology = Topology(graph)
         ledger = make_ledger(None)
-        inner = make_transport("batch", topology, "congest", 64, ledger)
+        inner = make_transport("columnar", topology, "congest", 64, ledger)
         wrapped = make_transport(inner, topology, "congest", 64, ledger,
                                  faults={"drop": 0.5})
         assert isinstance(wrapped, FaultyTransport)
@@ -306,7 +306,7 @@ class TestDeterminism:
     def test_ledger_and_outputs_identical_across_backends(self):
         graph = small_graph(40, 0.15, seed=6)
         runs = []
-        for backend in ("dict", "batch", "slot"):
+        for backend in ("dict", "columnar"):
             net = Network(graph, backend=backend, ledger="records",
                           faults=FAULTS, fault_seed=5)
             inboxes = net.broadcast({v: v * 3 + 1 for v in graph.nodes()})
@@ -315,14 +315,14 @@ class TestDeterminism:
                 {v: dict(box) for v, box in inboxes.items()},
                 net.fault_stats,
             ))
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("solver", ["d1c", "d1lc"])
     def test_solve_byte_identical_across_backends(self, solver):
         graph = small_graph(50, 0.12, seed=2)
         lists = degree_plus_one_lists(graph, seed=3)
         outcomes = []
-        for backend in ("dict", "batch", "slot"):
+        for backend in ("dict", "columnar"):
             if solver == "d1c":
                 result = solve_d1c(graph, seed=1, backend=backend,
                                    faults=FAULTS, fault_seed=11)
@@ -331,7 +331,7 @@ class TestDeterminism:
                                     faults=FAULTS, fault_seed=11)
             outcomes.append((result.coloring, result.rounds, result.total_bits,
                              result.max_edge_bits, result.fault_stats))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
     def test_same_seed_same_plan_reproduces(self):
         graph = small_graph(40, 0.15, seed=3)

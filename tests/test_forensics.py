@@ -192,14 +192,13 @@ class TestObserverMux:
 # --------------------------------------------------------------------------- #
 
 class TestDigestByteIdentity:
-    @pytest.mark.parametrize("backend", ["batch", "slot", "columnar"])
-    def test_streams_identical_across_backends(self, backend):
-        # planted-acd exercises the columnar buddy-sweep decline; gnp-d1c
-        # the coloring pipeline.  "dict" is the reference side.
+    def test_streams_identical_across_backends(self):
+        # planted-acd exercises the columnar buddy sweep; gnp-d1c the
+        # coloring pipeline.  "dict" is the reference side.
         for name in ("gnp-d1c", "planted-acd"):
             spec = smoke_spec(name, trials=1)
             ref_row, ref_events = digest_run(replace(spec, backend="dict"))
-            row, events = digest_run(replace(spec, backend=backend))
+            row, events = digest_run(replace(spec, backend="columnar"))
             assert stream_bytes(events) == stream_bytes(ref_events)
             assert strip_machine(row) == strip_machine(ref_row)
 

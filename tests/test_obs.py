@@ -191,7 +191,7 @@ class TestRoundTracer:
 # --------------------------------------------------------------------------- #
 
 class TestObservationOnly:
-    @pytest.mark.parametrize("backend", ["dict", "batch", "slot"])
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
     @pytest.mark.parametrize("shards", [1, 2])
     def test_traced_solve_identical(self, backend, shards):
         graph = nx.gnm_random_graph(30, 80, seed=11)
@@ -205,7 +205,7 @@ class TestObservationOnly:
             plain.rounds, plain.total_bits, plain.max_edge_bits)
         assert traced.rounds_by_phase == plain.rounds_by_phase
 
-    @pytest.mark.parametrize("backend", ["dict", "batch", "slot"])
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
     def test_traced_solve_identical_under_faults(self, backend):
         graph = nx.gnm_random_graph(30, 80, seed=11)
         kwargs = dict(seed=4, backend=backend,
@@ -219,7 +219,7 @@ class TestObservationOnly:
         assert (traced.rounds, traced.total_bits) == (
             plain.rounds, plain.total_bits)
 
-    @pytest.mark.parametrize("backend", ["dict", "batch", "slot", "columnar"])
+    @pytest.mark.parametrize("backend", ["dict", "columnar"])
     def test_traced_primitives_identical(self, backend):
         def run(tracer):
             net = Network(nx.cycle_graph(10), backend=backend,

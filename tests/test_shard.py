@@ -13,7 +13,6 @@ import pytest
 
 import repro.shard.sweep as sweep_mod
 from repro.congest import Network
-from repro.congest.columnar import HAVE_NUMPY
 from repro.core import solve_d1c, solve_d1lc
 from repro.experiments import (
     aggregate_suite, canonical_dumps, run_scenarios,
@@ -27,10 +26,11 @@ from repro.sampling import estimate_similarity_on_edges
 from repro.sampling.similarity import SimilarityParameters
 from repro.shard import partition_weights
 
-#: Serial backends the sharded execution must stay byte-identical to.  The
-#: columnar core joins whenever numpy is importable: slot == columnar ==
-#: sharded closes the three-way equivalence triangle.
-SERIAL_BACKENDS = ("slot",) + (("columnar",) if HAVE_NUMPY else ())
+#: Backends whose sharded runs must stay byte-identical to a serial ``dict``
+#: run.  The similarity sweep reaches the shard pool only on ``dict`` (the
+#: columnar backend runs its own vectorized sweep), so dict == sharded dict
+#: == columnar closes the three-way equivalence triangle.
+SERIAL_BACKENDS = ("dict", "columnar")
 
 #: Graph families the sharded sweep must reproduce the serial one on.
 SWEEP_FAMILIES = {
@@ -43,8 +43,8 @@ SWEEP_FAMILIES = {
 
 
 def _sweep(graph, shards, faults=None):
-    """One slot-backend similarity sweep over every edge's neighbourhoods."""
-    net = Network(graph, backend="slot", ledger="records", shards=shards,
+    """One dict-backend similarity sweep over every edge's neighbourhoods."""
+    net = Network(graph, backend="dict", ledger="records", shards=shards,
                   faults=faults, fault_seed=13)
     sets = {v: set(graph.neighbors(v)) for v in graph.nodes()}
     params = SimilarityParameters.practical(eps=0.3, seed=4)
@@ -83,7 +83,7 @@ class TestShardedSweep:
         params = SimilarityParameters.practical(eps=0.3, seed=4)
 
         def sweep(shards):
-            net = Network(graph, backend="slot", shards=shards)
+            net = Network(graph, backend="dict", shards=shards)
             return estimate_similarity_on_edges(
                 net, sets, params=params, seed=9), net
 
@@ -130,8 +130,8 @@ class TestShardedSweep:
     @pytest.mark.parametrize("family", sorted(SWEEP_FAMILIES))
     def test_solver_identical_on_families(self, pool_calls, family):
         graph = SWEEP_FAMILIES[family]()
-        base = solve_d1c(graph, seed=5, backend="slot")
-        got = solve_d1c(graph, seed=5, backend="slot", shards=3)
+        base = solve_d1c(graph, seed=5, backend="dict")
+        got = solve_d1c(graph, seed=5, backend="dict", shards=3)
         assert pool_calls and set(pool_calls) == {3}
         assert got.coloring == base.coloring
         assert (got.rounds, got.total_bits, got.max_edge_bits) == \
@@ -140,7 +140,7 @@ class TestShardedSweep:
     def test_small_sweeps_stay_serial(self):
         # Below the work gate the pool is never engaged (the decision is a
         # pure function of the workload, so a run shards deterministically).
-        net = Network(ring_of_cliques(3, 4), shards=4)
+        net = Network(ring_of_cliques(3, 4), backend="dict", shards=4)
         sets = {v: set(net.neighbors(v)) for v in net.nodes}
         results = estimate_similarity_on_edges(net, sets, seed=1)
         assert results  # computed, serially, with identical semantics
@@ -150,7 +150,7 @@ class TestShardedSweep:
     def test_solver_bytes_identical(self, monkeypatch, solver, backend):
         monkeypatch.setattr(sweep_mod, "MIN_SHARDED_WORK", 0)
         graph = gnp_fast_graph(70, avg_degree=7.0, seed=6)
-        base = solver(graph, seed=11, backend="slot")
+        base = solver(graph, seed=11, backend="dict")
         for shards in (2, 7):
             got = solver(graph, seed=11, backend=backend, shards=shards)
             assert got.coloring == base.coloring
@@ -161,26 +161,28 @@ class TestShardedSweep:
     def test_solver_bytes_identical_under_faults(self, monkeypatch, backend):
         monkeypatch.setattr(sweep_mod, "MIN_SHARDED_WORK", 0)
         graph = ring_of_cliques(6, 6)
-        base = solve_d1c(graph, seed=3, backend="slot",
+        base = solve_d1c(graph, seed=3, backend="dict",
                          faults={"drop": 0.05, "corrupt": 1e-3})
         got = solve_d1c(graph, seed=3, backend=backend, shards=3,
                         faults={"drop": 0.05, "corrupt": 1e-3})
         assert got.coloring == base.coloring
         assert got.fault_stats == base.fault_stats
 
-    def test_suite_aggregate_bytes_identical(self, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "MIN_SHARDED_WORK", 0)
+    def test_suite_aggregate_bytes_identical(self, pool_calls):
         specs = [
             ScenarioSpec("tiny-d1c", "gnp_fast", "d1c",
-                         family_params={"n": 40, "avg_degree": 5.0}, trials=2),
+                         family_params={"n": 40, "avg_degree": 5.0}, trials=2,
+                         backend="dict"),
             ScenarioSpec("tiny-ring-d1lc", "ring_of_cliques", "d1lc",
-                         family_params={"num_cliques": 4, "clique_size": 6}),
+                         family_params={"num_cliques": 4, "clique_size": 6},
+                         backend="dict"),
         ]
         from dataclasses import replace
 
         serial = run_scenarios(specs, suite="tiny")
         sharded = run_scenarios([replace(s, shards=3) for s in specs],
                                 suite="tiny")
+        assert pool_calls and set(pool_calls) == {3}
         assert canonical_dumps(aggregate_suite(serial)) == \
             canonical_dumps(aggregate_suite(sharded))
 

@@ -36,7 +36,7 @@ from repro.sampling import (
     estimate_similarity_on_edges,
 )
 
-BACKENDS = ("dict", "slot", "columnar")
+BACKENDS = ("dict", "columnar")
 PARAMS = SimilarityParameters.practical(eps=0.3, seed=4)
 
 

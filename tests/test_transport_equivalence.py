@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: Dict, Batch, Slot and Columnar must agree.
+"""Cross-backend equivalence: the Dict reference and Columnar must agree.
 
 The paper-fidelity contract (DESIGN.md) is that the transport backend is a
 performance choice only: for the same inputs and seeds, every backend must
@@ -6,17 +6,17 @@ deliver the same payloads and charge byte-identical ledgers — same rounds,
 labels, message counts, total bits and per-round maxima.  This suite checks
 that contract at the primitive level and end-to-end on several graph
 families, including small instances of the ``scale`` suite's families
-(geometric, power-law, ring-of-cliques).  The numpy-backed ``columnar``
-backend joins the matrix whenever numpy is importable (it is an optional
-runtime dependency of that backend only).
+(geometric, power-law, ring-of-cliques).
 """
+
+import random
 
 import networkx as nx
 import pytest
 
 from repro.baselines import johansson_coloring
-from repro.congest import Message, Network
-from repro.congest.columnar import HAVE_NUMPY
+from repro.congest import CongestError, Message, Network
+from repro.congest.bandwidth import payload_bits
 from repro.congest.transport import EMPTY_INBOX
 from repro.core import solve_d1c, solve_d1lc
 from repro.graphs import (
@@ -30,9 +30,8 @@ from repro.graphs import (
 from repro.graphs.generators import triangle_rich_graph
 from repro.metrics.ledger import CounterLedger, RecordingLedger
 
-_COLUMNAR = ("columnar",) if HAVE_NUMPY else ()
-BACKENDS = ("dict", "batch", "slot") + _COLUMNAR
-FAST_BACKENDS = ("batch", "slot") + _COLUMNAR  # vs the "dict" reference
+BACKENDS = ("dict", "columnar")
+FAST_BACKENDS = ("columnar",)  # vs the "dict" reference
 
 
 def ledger_tuple(network: Network):
@@ -149,6 +148,47 @@ class TestEmptyInboxContract:
         assert len(EMPTY_INBOX) == 0
 
 
+#: Rounds with exactly one protocol violation, on a 4-node path (0-1-2-3)
+#: with a 16-bit budget.  Only cases whose checks run in backend-specific
+#: code are listed; chunked rounds validate in shared base-class code.
+VIOLATIONS = {
+    "exchange-self": lambda net: net.exchange({(1, 1): 5}),
+    "exchange-non-edge": lambda net: net.exchange({(0, 2): 5}),
+    "exchange-unknown-sender": lambda net: net.exchange({(9, 1): 5}),
+    "exchange-unknown-receiver": lambda net: net.exchange({(1, 9): 5}),
+    "exchange-over-budget": lambda net: net.exchange(
+        {(0, 1): 1, (1, 2): Message(content="w", bits=17)}),
+    "broadcast-unknown-sender": lambda net: net.broadcast({9: 1}),
+    "broadcast-over-budget": lambda net: net.broadcast(
+        {0: Message(content="w", bits=17)}),
+    "restricted-non-neighbour": lambda net: net.broadcast(
+        {0: 1}, senders_only_to={0: [2]}),
+    "restricted-unknown-sender": lambda net: net.broadcast(
+        {9: 1}, senders_only_to={9: [1]}),
+    "restricted-over-budget": lambda net: net.broadcast(
+        {3: Message(content="w", bits=17)}, senders_only_to={3: [2]}),
+    "discard-unknown-sender": lambda net: net.broadcast_discard({9: 1}),
+    "discard-over-budget": lambda net: net.broadcast_discard(
+        {3: Message(content="w", bits=17)}),
+}
+
+
+class TestViolationParity:
+    """A round with a single violation raises the identical error on every
+    backend and is never recorded.  Only rounds with several violations may
+    report different ones (DESIGN.md, Transport invariant 3)."""
+
+    @pytest.mark.parametrize("case", sorted(VIOLATIONS))
+    def test_same_error_and_no_record(self, case):
+        errors = []
+        for net in all_networks(nx.path_graph(4), bandwidth_bits=16):
+            with pytest.raises(CongestError) as info:
+                VIOLATIONS[case](net)
+            errors.append((type(info.value), str(info.value)))
+            assert net.ledger.rounds == 0, net.backend
+        assert errors[0] == errors[1]
+
+
 #: Small instances of every family the equivalence contract must hold on,
 #: including the ``scale`` suite's families at test-sized n.
 GRAPH_FAMILIES = {
@@ -164,6 +204,30 @@ GRAPH_FAMILIES = {
     "power-law": lambda: power_law_graph(40, 3, seed=13),
     "ring-of-cliques": lambda: ring_of_cliques(4, 6),
 }
+
+
+class TestRestrictedBroadcastEquivalence:
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_inboxes_and_ledger_identical(self, family):
+        """Half the senders broadcast, some only to a random subset of their
+        neighbours (possibly none); one payload object is shared by several
+        senders so the sizing memo is exercised."""
+        graph = GRAPH_FAMILIES[family]()
+        rng = random.Random(family)
+        shared = [1, 2, 3]
+        senders = rng.sample(sorted(graph.nodes()), graph.number_of_nodes() // 2)
+        values = {v: rng.choice([shared, Message(content=v, bits=5), (v, v)])
+                  for v in senders}
+        only_to = {v: rng.sample(sorted(graph.neighbors(v)),
+                                 rng.randrange(graph.degree(v) + 1))
+                   for v in senders if rng.random() < 0.5}
+        nets = all_networks(graph, bandwidth_bits=256, ledger="records")
+        snapshots = []
+        for net in nets:
+            inbox = net.broadcast(values, senders_only_to=only_to, label="r")
+            snapshots.append({v: list(box.items()) for v, box in inbox.items()})
+        assert snapshots[0] == snapshots[1]
+        assert_identical_ledgers(*nets)
 
 
 class TestEndToEndEquivalence:
@@ -249,8 +313,8 @@ class TestFaultedEquivalence:
 class TestLedgerBackends:
     def test_counters_match_records(self):
         graph = gnp_graph(40, 0.15, seed=8)
-        full = solve_d1c(graph, seed=3, backend="batch", ledger="records")
-        lean = solve_d1c(graph, seed=3, backend="batch", ledger="counters")
+        full = solve_d1c(graph, seed=3, backend="columnar", ledger="records")
+        lean = solve_d1c(graph, seed=3, backend="columnar", ledger="counters")
         assert full.coloring == lean.coloring
         assert (full.rounds, full.total_bits, full.max_edge_bits) == (
             lean.rounds, lean.total_bits, lean.max_edge_bits
@@ -321,11 +385,16 @@ class TestChunkedAccountingOracle:
             records.append((count, bits_sum, max_bits))
         return records
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS + ("columnar-array",))
     @pytest.mark.parametrize("trial", range(20))
-    def test_matches_literal_simulation(self, backend, trial):
-        import random
+    def test_matches_literal_simulation(self, backend, trial, monkeypatch):
+        if backend == "columnar-array":
+            # Force the numpy histogram path, which otherwise only runs on
+            # rounds of at least _VECTOR_MIN_SIZES edges.
+            import repro.congest.columnar.transport as ct
 
+            monkeypatch.setattr(ct, "_VECTOR_MIN_SIZES", 0)
+            backend = "columnar"
         rng = random.Random(trial)
         budget = rng.choice([1, 3, 8, 17])
         graph = nx.cycle_graph(8)
@@ -342,8 +411,22 @@ class TestChunkedAccountingOracle:
         assert got == self.simulate_rounds(sizes, budget)
 
 
-class TestSlotSizingCacheInvalidation:
-    """The slot backend's pooled payload-sizing cache is keyed by ``id()``.
+#: Every kind of round a transport charges, each sending one payload object
+#: on two edges of a 4-node path.
+ROUND_KINDS = {
+    "exchange": lambda net, p: net.exchange({(0, 1): p, (2, 1): p}),
+    "broadcast": lambda net, p: net.broadcast({0: p, 2: p}),
+    "broadcast_restricted": lambda net, p: net.broadcast(
+        {0: p, 2: p}, senders_only_to={2: [1]}),
+    "broadcast_discard": lambda net, p: net.broadcast_discard({0: p, 2: p}),
+    "exchange_chunked": lambda net, p: net.exchange_chunked(
+        {(0, 1): p, (2, 1): p}),
+    "broadcast_chunked": lambda net, p: net.broadcast_chunked({0: p, 2: p}),
+}
+
+
+class TestPooledSizingCacheInvalidation:
+    """The columnar backend's pooled payload-sizing cache is keyed by ``id()``.
 
     The cache must be invalidated between rounds: an ``id()`` key is only
     meaningful while the round's message mapping keeps the payload alive,
@@ -353,7 +436,7 @@ class TestSlotSizingCacheInvalidation:
 
     def test_mutated_payload_resized_next_round(self):
         graph = nx.path_graph(3)
-        net = Network(graph, mode="local", backend="slot", ledger="records")
+        net = Network(graph, mode="local", backend="columnar", ledger="records")
         payload = [1, 1]
         net.exchange({(0, 1): payload}, label="r0")
         first_bits = net.ledger.records[-1].total_bits
@@ -371,7 +454,7 @@ class TestSlotSizingCacheInvalidation:
         # object, drop it, and keep sending new objects until the allocator
         # recycles the address — every delivery must charge the true size.
         graph = nx.path_graph(3)
-        net = Network(graph, mode="local", backend="slot", ledger="records")
+        net = Network(graph, mode="local", backend="columnar", ledger="records")
         from repro.congest.bandwidth import payload_bits
 
         stale = [255] * 4
@@ -385,6 +468,23 @@ class TestSlotSizingCacheInvalidation:
             assert net.ledger.records[-1].total_bits == payload_bits(probe)
             if id(probe) == stale_id:
                 break  # the recycled-address case was genuinely exercised
+
+    @pytest.mark.parametrize("second", sorted(ROUND_KINDS))
+    @pytest.mark.parametrize("first", sorted(ROUND_KINDS))
+    def test_resized_across_round_kinds(self, first, second):
+        """The memo is cleared by every kind of round, whichever kind filled
+        it: a payload grown in place is charged its new size next round."""
+        records = []
+        for net in all_networks(nx.path_graph(4), mode="local",
+                                ledger="records"):
+            payload = [1, 2]
+            ROUND_KINDS[first](net, payload)
+            payload.extend(range(40))  # same object, bigger payload
+            ROUND_KINDS[second](net, payload)
+            assert net.ledger.records[-1].max_edge_bits == \
+                payload_bits(payload), net.backend
+            records.append(net.ledger.records)
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_broadcast_resizes_mutated_payload_every_round(self, backend):
