@@ -23,11 +23,14 @@ load-bearing contract:
   by directed pair, so a repeated or reversed request of one edge is
   charged once: requests are deduplicated per unordered pair before any
   ledger effect, and every requested orientation still gets its result;
+* scaled keys ``key(x, j)`` do not depend on the edge, so each node's
+  scaled set is hashed once per sweep, for ``j`` below the largest ``k`` of
+  its edges, into one CSR store beside the base keys (:func:`_key_store`);
 * hash values, low-unique filtering and shared-value counting run as flat
-  uint64 kernels (:mod:`~repro.congest.columnar.kernels`) over a CSR layout
-  of the neighborhood element keys — per-endpoint value multisets are
-  reduced by a packed ``(endpoint << 32) | value`` unique/count pass instead
-  of per-edge Python dicts.  The pass runs in blocks of at most
+  uint64 kernels (:mod:`~repro.congest.columnar.kernels`) over that store —
+  instead of per-edge Python dicts, one sort of packed
+  ``(edge << 34) | (value << 1) | side`` keys finds, per edge, the values
+  both endpoints hit exactly once.  The pass runs in blocks of at most
   ``_BLOCK_ELEMENTS`` scaled elements, which bounds its temporary arrays;
   blocks partition the edge list, so results do not depend on block size;
 * estimates are evaluated in float64, which matches Python exactly because
@@ -69,8 +72,9 @@ Edge = Tuple[Node, Node]
 #: malloc heap (DESIGN.md, "One similarity sweep").
 _BLOCK_ELEMENTS = 1 << 14
 
-# Packing guards: endpoint-local hash values share a uint64 with a 32-bit
-# endpoint id, and estimates must reproduce Python float division exactly.
+# Packing guards: hash values (<= λ) share a uint64 sort key with a side bit
+# and a block-local edge id, and estimates must reproduce Python float
+# division exactly.
 _MAX_LAM = 1 << 32
 _EXACT_FLOAT = 1 << 53
 
@@ -93,7 +97,7 @@ class SweepEstimates(NamedTuple):
 
 
 def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
-    """Partition edges into contiguous blocks of ~_BLOCK_ELEMENTS work."""
+    """Partition edges (or nodes) into contiguous blocks of ~_BLOCK_ELEMENTS work."""
     blocks: List[Tuple[int, int]] = []
     start = 0
     acc = 0
@@ -106,6 +110,45 @@ def _block_ranges(work: "np.ndarray") -> List[Tuple[int, int]]:
     if start < len(work):
         blocks.append((start, len(work)))
     return blocks
+
+
+def _key_store(key_arrays: List["np.ndarray"], kmax: "np.ndarray"):
+    """One CSR store of every node's element keys, then its scaled keys.
+
+    Returns ``(store, counts, base_starts, scaled_starts)``.  Node ``i``'s
+    base keys are ``store[base_starts[i]:][:counts[i]]``.  When
+    ``kmax[i] > 1`` its scaled keys ``key(x, j)`` for ``j < kmax[i]`` follow
+    from ``scaled_starts[i]``, j-major (every ``x`` for ``j = 0``, then
+    ``j = 1``, ...), so the scaled set for any ``k <= kmax[i]`` is the run's
+    first ``k · counts[i]`` keys.  Each key is hashed once per sweep instead
+    of once per incident edge; the store is at most ``max(kmax)`` times the
+    base keys.  Hashing runs in chunks of whole nodes of at most
+    ``_BLOCK_ELEMENTS`` scaled keys; a larger node is a chunk of its own.
+    """
+    counts = np.fromiter((arr.size for arr in key_arrays), dtype=np.int64,
+                         count=len(key_arrays))
+    scaled_counts = np.where(kmax > 1, kmax * counts, 0)
+    base_total = int(counts.sum())
+    base_starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=base_starts[1:])
+    scaled_starts = np.full(len(counts) + 1, base_total, dtype=np.int64)
+    scaled_starts[1:] += np.cumsum(scaled_counts)
+    store = np.empty(int(scaled_starts[-1]), dtype=np.uint64)
+    np.concatenate(key_arrays, out=store[:base_total])
+    for lo, hi in _block_ranges(scaled_counts):
+        runs = scaled_counts[lo:hi]
+        total = int(runs.sum())
+        if not total:
+            continue
+        sizes = np.repeat(counts[lo:hi], runs)
+        pos = np.arange(total, dtype=np.int64)
+        pos -= np.repeat(scaled_starts[lo:hi] - scaled_starts[lo], runs)
+        jj = pos // sizes
+        pos += np.repeat(base_starts[lo:hi], runs) - jj * sizes
+        store[scaled_starts[lo]:scaled_starts[hi]] = scale_keys_vec(
+            store[pos], jj.astype(np.uint64)
+        )
+    return store, counts, base_starts, scaled_starts
 
 
 def columnar_similarity_estimates(
@@ -264,17 +307,14 @@ def columnar_similarity_estimates(
     sigma_i64 = np.array(sigma_list, dtype=np.int64)
     shared_counts = np.zeros(count, dtype=np.int64)
     if count:
-        # CSR layout of the participating neighborhoods' element keys.
-        key_arrays = [element_keys_array(node_sets[node]) for node in local_nodes]
-        key_counts = np.fromiter(
-            (arr.size for arr in key_arrays), dtype=np.int64, count=len(key_arrays)
-        )
-        key_offsets = np.zeros(len(key_arrays) + 1, dtype=np.int64)
-        np.cumsum(key_counts, out=key_offsets[1:])
-        key_storage = np.concatenate(key_arrays)
-
         eu = np.array(eu_list, dtype=np.int64)
         ev = np.array(ev_list, dtype=np.int64)
+        kmax = np.zeros(len(local_nodes), dtype=np.int64)
+        np.maximum.at(kmax, eu, k_arr)
+        np.maximum.at(kmax, ev, k_arr)
+        store, key_counts, base_starts, scaled_starts = _key_store(
+            [element_keys_array(node_sets[node]) for node in local_nodes], kmax
+        )
         lam_u64 = lam_i64.astype(np.uint64)
         sigma_u64 = sigma_i64.astype(np.uint64)
         prefixes = member_prefixes_vec(
@@ -284,60 +324,47 @@ def columnar_similarity_estimates(
         work = k_arr * (key_counts[eu] + key_counts[ev])
         for start, stop in _block_ranges(work):
             span = stop - start
-            # Endpoints interleave as (u0, v0, u1, v1, ...): endpoint id
-            # 2i/2i+1 within the block, edge id = endpoint >> 1.
+            # Endpoints interleave as (u0, v0, u1, v1, ...): endpoint 2i + s
+            # of the block is side s of edge i, so each edge's elements are
+            # one contiguous stretch of the flat arrays.
             ep_nodes = np.empty(2 * span, dtype=np.int64)
             ep_nodes[0::2] = eu[start:stop]
             ep_nodes[1::2] = ev[start:stop]
             k_ep = np.repeat(k_arr[start:stop], 2)
-            lens = key_counts[ep_nodes]
-            total_base = int(lens.sum())
-            # Gather each endpoint's base keys into one contiguous run.
-            run_ends = np.cumsum(lens)
-            flat = np.arange(total_base, dtype=np.int64)
-            flat -= np.repeat(run_ends - lens, lens)
-            flat += np.repeat(key_offsets[ep_nodes], lens)
-            base_keys = key_storage[flat]
-            k_elem = np.repeat(k_ep, lens)
-            if int(k_ep.max()) > 1:
-                # Scale-up: every base element x expands to the keys of
-                # (x, 0) .. (x, k-1).  Expansion order within an endpoint is
-                # irrelevant — the downstream reduction only counts values.
-                total = int(k_elem.sum())
-                keys_rep = np.repeat(base_keys, k_elem)
-                exp_ends = np.cumsum(k_elem)
-                jj = np.arange(total, dtype=np.int64)
-                jj -= np.repeat(exp_ends - k_elem, k_elem)
-                kk = np.repeat(k_elem, k_elem)
-                scaled = scale_keys_vec(keys_rep, jj.astype(np.uint64))
-                keys_final = np.where(kk == 1, keys_rep, scaled)
-                elem_per_ep = lens * k_ep
-            else:
-                keys_final = base_keys
-                elem_per_ep = lens
-            ep_ids = np.repeat(np.arange(2 * span, dtype=np.int64), elem_per_ep)
-            edge_ids = ep_ids >> 1
+            elem = key_counts[ep_nodes] * k_ep
+            # An endpoint with k > 1 reads the first k·|S| keys of its node's
+            # j-major scaled run; with k == 1 it reads the unscaled base run.
+            run_starts = np.where(k_ep > 1, scaled_starts[ep_nodes], base_starts[ep_nodes])
+            run_ends = np.cumsum(elem)
+            flat = np.arange(int(run_ends[-1]), dtype=np.int64)
+            flat += np.repeat(run_starts - (run_ends - elem), elem)
+            keys = store[flat]
+            elem_per_edge = elem[0::2] + elem[1::2]
             values = hash_values_vec(
-                prefixes[start:stop][edge_ids],
-                keys_final,
-                lam_u64[start:stop][edge_ids],
+                np.repeat(prefixes[start:stop], elem_per_edge),
+                keys,
+                np.repeat(lam_u64[start:stop], elem_per_edge),
             )
-            low = values <= sigma_u64[start:stop][edge_ids]
-            # Pack (endpoint, value) into one uint64; a value survives for
-            # its endpoint iff exactly one element hit it (low_unique), and
-            # an edge shares a value iff both its endpoints' survivors hold
-            # it (count == 2 after collapsing endpoint -> edge).
-            packed = (ep_ids[low].astype(np.uint64) << np.uint64(32)) | values[low]
-            unique, counts = np.unique(packed, return_counts=True)
-            survivors = unique[counts == 1]
-            by_edge = (survivors >> np.uint64(33) << np.uint64(32)) | (
-                survivors & np.uint64(0xFFFFFFFF)
-            )
-            shared_vals, shared_cnt = np.unique(by_edge, return_counts=True)
-            shared_vals = shared_vals[shared_cnt == 2]
-            if shared_vals.size:
-                edge_hits = (shared_vals >> np.uint64(32)).astype(np.int64)
-                shared_counts[start:stop] = np.bincount(edge_hits, minlength=span)
+            low = values <= np.repeat(sigma_u64[start:stop], elem_per_edge)
+            # One sort of (edge << 34) | (value << 1) | side: a value is
+            # shared by an edge iff its (edge, value) group is exactly one
+            # side-0 element followed by one side-1 element — any other
+            # count means a side hit the value twice (not low-unique) or
+            # not at all.  value <= λ < 2**32 keeps value << 1 in 33 bits.
+            ep_ids = np.arange(2 * span, dtype=np.uint64)
+            tags = ((ep_ids >> np.uint64(1)) << np.uint64(34)) | (ep_ids & np.uint64(1))
+            packed = np.repeat(tags, elem)[low] | (values[low] << np.uint64(1))
+            if packed.size < 2:
+                continue
+            packed.sort()
+            # step == 1: a side-0 key and its side-1 twin are adjacent; an
+            # equal key (step 0) just before or after means a doubled side.
+            step = packed[1:] ^ packed[:-1]
+            hit = step == 1
+            hit[1:] &= step[:-1] != 0
+            hit[:-1] &= step[1:] != 0
+            edge_hits = (packed[:-1][hit] >> np.uint64(34)).astype(np.int64)
+            shared_counts[start:stop] = np.bincount(edge_hits, minlength=span)
 
     # Round 2: both endpoints' σ-bit indicators (two directed messages per
     # participating edge, max(1, σ) bits each — σ is already >= 1).

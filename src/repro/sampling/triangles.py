@@ -71,11 +71,11 @@ def detect_triangle_rich_edges(
     if params is None:
         params = SimilarityParameters.practical(eps=eps / 2.0, seed=seed)
     rounds_before = network.rounds_used
-    edges = [tuple(e) for e in (edges if edges is not None else network.graph.edges())]
-    neighborhoods = {v: set(network.neighbors(v)) for v in network.nodes}
+    # The sweep copies each neighborhood once and normalises the edge list
+    # (all graph edges when None) itself.
     similarities = estimate_similarity_on_edges(
-        network, neighborhoods, edges=edges, params=params, seed=seed,
-        label="triangle-detection",
+        network, network.topology.neighbor_sets, edges=edges, params=params,
+        seed=seed, label="triangle-detection",
     )
     threshold = eps * delta
     estimates = {edge: result.estimate for edge, result in similarities.items()}

@@ -38,6 +38,8 @@ from repro.sampling import (
 
 BACKENDS = ("dict", "columnar")
 PARAMS = SimilarityParameters.practical(eps=0.3, seed=4)
+# Uncapped k = ceil(C / max_size), C ≈ 418.5: k = 1, 2, 3 on sets of a few hundred.
+MIXED = SimilarityParameters(eps=0.9, nu=0.5, max_scale=None, seed=2)
 
 
 @pytest.fixture
@@ -84,6 +86,21 @@ def _assert_same(outputs, networks):
 def _items(results):
     """Results as an ordered list: key order is part of the contract."""
     return list(results.items())
+
+
+def _mixed_scale_instance():
+    """Hub 0 whose edges get k = 1, 2 and 3 under ``MIXED``; 2 and 3 mix too.
+
+    k = ceil(C / max_size) with C ≈ 418.5, so the hub's set of 100 meets
+    sets of 450 (k = 1), 300 (k = 2) and 160 (k = 3); edge (1, 2) has k = 1
+    and (2, 3) k = 2.  The sets overlap so every estimate is nonzero.
+    """
+    rng = random.Random(11)
+    universe = range(700)
+    sizes = {0: 100, 1: 450, 2: 300, 3: 160}
+    sets = {node: set(rng.sample(universe, size)) for node, size in sizes.items()}
+    graph = nx.Graph([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    return graph, sets
 
 
 class TestCallerEquivalence:
@@ -262,6 +279,76 @@ class TestDeclinePaths:
         assert kernel_calls == {"ran": 1, "declined": 0}
 
 
+class TestScalePaths:
+    """Edges of one sweep with different k, k == 1, and non-int elements."""
+
+    def test_mixed_scales_on_one_node(self, kernel_calls):
+        graph, sets = _mixed_scale_instance()
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, params=MIXED, seed=6)))
+        _assert_same(outputs, networks)
+        assert kernel_calls == {"ran": 1, "declined": 0}
+        results = dict(outputs[-1])
+        hub_scales = {results[edge].scale_factor for edge in graph.edges(0)}
+        assert hub_scales == {1, 2, 3}
+        assert all(results[edge].estimate > 0 for edge in graph.edges(0))
+
+    def test_max_scale_one_runs_the_kernel(self, kernel_calls):
+        graph = _graph()
+        sets = _neighborhoods(graph)
+        params = SimilarityParameters(eps=0.3, nu=0.1, max_scale=1,
+                                      sigma_cap=1024, seed=4)
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, params=params, seed=9)))
+        _assert_same(outputs, networks)
+        assert kernel_calls == {"ran": 1, "declined": 0}
+        assert {result.scale_factor for _, result in outputs[0]} == {1}
+        assert any(result.estimate > 0 for _, result in outputs[0])
+
+    @pytest.mark.parametrize("params", [PARAMS, MIXED], ids=["practical", "mixed"])
+    def test_non_int_elements(self, kernel_calls, params):
+        graph, int_sets = _mixed_scale_instance()
+        sets = {node: {(x, "t") if x % 3 else str(x) for x in members}
+                for node, members in int_sets.items()}
+        outputs, networks = _run_all(graph, lambda net: _items(
+            estimate_similarity_on_edges(net, sets, params=params, seed=6)))
+        _assert_same(outputs, networks)
+        assert kernel_calls == {"ran": 1, "declined": 0}
+        assert any(result.estimate > 0 for _, result in outputs[0])
+
+
+def test_each_scaled_key_is_hashed_once_per_sweep(monkeypatch):
+    graph, sets = _mixed_scale_instance()
+    cap = 256
+    monkeypatch.setattr(sweep_mod, "_BLOCK_ELEMENTS", cap)
+    sizes = []
+    original = sweep_mod.scale_keys_vec
+
+    def spy(base_keys, j_values):
+        sizes.append(len(base_keys))
+        return original(base_keys, j_values)
+
+    monkeypatch.setattr(sweep_mod, "scale_keys_vec", spy)
+    net = Network(graph, backend="columnar", ledger="records")
+    results = estimate_similarity_on_edges(net, sets, params=MIXED, seed=6)
+
+    kmax = {}
+    for (u, v), result in results.items():
+        for node in (u, v):
+            kmax[node] = max(kmax.get(node, 1), result.scale_factor)
+    runs = {node: k * len(sets[node]) for node, k in kmax.items() if k > 1}
+    assert sum(sizes) == sum(runs.values())
+    # Chunks hold whole nodes and stay under the cap unless one node's run
+    # alone is bigger (hub 0: 3 × 100, node 3: 3 × 160, node 2: 2 × 300).
+    assert all(size <= cap or size in runs.values() for size in sizes)
+    assert len(sizes) == len(runs) and max(sizes) > cap
+
+    reference = Network(graph, backend="dict", ledger="records")
+    expected = estimate_similarity_on_edges(reference, sets, params=MIXED, seed=6)
+    assert _items(results) == _items(expected)
+    assert net.ledger.records == reference.ledger.records
+
+
 def test_block_partition_does_not_change_results(monkeypatch):
     graph = _graph()
     sets = _neighborhoods(graph)
@@ -277,7 +364,8 @@ def test_block_partition_does_not_change_results(monkeypatch):
 
     def counting(work):
         ranges = original(work)
-        blocks.append(len(ranges))
+        if len(work) == len(edges):  # the edge partition, not the key store's
+            blocks.append(len(ranges))
         return ranges
 
     monkeypatch.setattr(sweep_mod, "_block_ranges", counting)
@@ -285,5 +373,9 @@ def test_block_partition_does_not_change_results(monkeypatch):
     one_block = sweep()
     monkeypatch.setattr(sweep_mod, "_BLOCK_ELEMENTS", 64)
     many_blocks = sweep()
-    assert blocks[0] == 1 and blocks[1] > 10
+    # Every edge in its own block, each bigger than the cap.
+    monkeypatch.setattr(sweep_mod, "_BLOCK_ELEMENTS", 1)
+    single_edges = sweep()
+    assert blocks == [1, blocks[1], len(edges)] and blocks[1] > 10
     assert many_blocks == one_block
+    assert single_edges == one_block
