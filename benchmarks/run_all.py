@@ -106,15 +106,12 @@ def main(argv=None) -> int:
                              "of the e* measure() modules")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for --suite")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard-count override for --suite (bit-identical "
-                             "aggregates for any value)")
     args = parser.parse_args(argv)
 
     if args.suite:
         from repro.experiments import run_suite, write_suite_artifacts
 
-        result = run_suite(args.suite, workers=args.workers, shards=args.shards)
+        result = run_suite(args.suite, workers=args.workers)
         paths = write_suite_artifacts(result, args.out)
         peak = max((s.peak_rss_mb for s in result.scenarios), default=0.0)
         print(f"suite '{args.suite}': {len(result.rows())} trials in "

@@ -13,8 +13,6 @@ The package provides:
   almost-clique decomposition, SlackColor, dense/sparse phases, Theorem 1);
 * ``repro.baselines`` — Johansson-style random trials, naive high-bandwidth
   implementations, and a centralized greedy reference;
-* ``repro.shard`` — the sharded similarity sweep behind
-  ``Network(shards=N)``, byte-identical to serial for any shard count;
 * ``repro.graphs`` / ``repro.metrics`` — instance generators, ground-truth
   properties, and experiment reporting.
 

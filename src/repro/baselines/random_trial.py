@@ -38,7 +38,6 @@ def johansson_coloring(
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Color ``graph`` by iterated random color trials.
@@ -57,7 +56,7 @@ def johansson_coloring(
     network = Network(graph, mode=mode, backend=backend, ledger=ledger,
                       faults=faults,
                       fault_seed=seed if fault_seed is None else fault_seed,
-                      shards=shards, tracer=tracer)
+                      tracer=tracer)
     state = ColoringState(instance, network, params)
     if max_iterations is None:
         max_iterations = 8 * max(4, graph.number_of_nodes().bit_length() ** 2)

@@ -10,7 +10,7 @@ be run without writing Python::
     python -m repro.cli baseline   --n 200 --p 0.08
     python -m repro.cli suite list
     python -m repro.cli suite run smoke --workers 4
-    python -m repro.cli suite run scale --backend dict --shards 2
+    python -m repro.cli suite run scale --backend dict
     python -m repro.cli suite run smoke --profile --out /tmp/prof
     python -m repro.cli suite run smoke --faults drop=0.01,corrupt=1e-4
     python -m repro.cli suite run robustness --workers 4
@@ -77,20 +77,17 @@ def cmd_color(args: argparse.Namespace) -> int:
     params = ColoringParameters.small(seed=args.seed, uniform=args.uniform)
     if args.problem == "d1c":
         result = solve_d1c(graph, params=params, mode=args.mode,
-                           backend=args.backend, ledger=args.ledger,
-                           shards=args.shards)
+                           backend=args.backend, ledger=args.ledger)
     elif args.problem == "delta+1":
         result = solve_delta_plus_one(graph, params=params, mode=args.mode,
-                                      backend=args.backend, ledger=args.ledger,
-                                      shards=args.shards)
+                                      backend=args.backend, ledger=args.ledger)
     else:
         if args.color_bits:
             lists = huge_color_space_lists(graph, color_space_bits=args.color_bits, seed=args.seed)
         else:
             lists = degree_plus_one_lists(graph, seed=args.seed)
         result = solve_d1lc(graph, lists, params=params, mode=args.mode,
-                            backend=args.backend, ledger=args.ledger,
-                            shards=args.shards)
+                            backend=args.backend, ledger=args.ledger)
     print(format_table(_coloring_rows(args.problem, result), title="coloring run"))
     print("\nrounds by phase:")
     for phase, rounds in sorted(result.rounds_by_phase.items()):
@@ -101,9 +98,8 @@ def cmd_color(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     graph = gnp_graph(args.n, args.p, seed=args.seed)
     pipeline = solve_d1c(graph, params=ColoringParameters.small(seed=args.seed),
-                         backend=args.backend, shards=args.shards)
-    baseline = johansson_coloring(graph, seed=args.seed, backend=args.backend,
-                                  shards=args.shards)
+                         backend=args.backend)
+    baseline = johansson_coloring(graph, seed=args.seed, backend=args.backend)
     rows = _coloring_rows("pipeline", pipeline) + _coloring_rows("johansson", baseline)
     print(format_table(rows, title="pipeline vs random-trial baseline"))
     return 0 if pipeline.is_valid and baseline.is_valid else 1
@@ -115,7 +111,7 @@ def cmd_acd(args: argparse.Namespace) -> int:
         num_sparse=args.sparse, seed=args.seed,
     )
     params = ColoringParameters.small(seed=args.seed, uniform=args.uniform)
-    network = Network(planted.graph, backend=args.backend, shards=args.shards)
+    network = Network(planted.graph, backend=args.backend)
     acd = compute_acd(network, params)
     summary = acd.partition_summary()
     summary["rounds"] = acd.rounds_used
@@ -126,7 +122,7 @@ def cmd_acd(args: argparse.Namespace) -> int:
 
 def cmd_triangles(args: argparse.Namespace) -> int:
     planted = triangle_rich_graph(n=args.n, planted_cliques=3, clique_size=14, seed=args.seed)
-    network = Network(planted.graph, backend=args.backend, shards=args.shards)
+    network = Network(planted.graph, backend=args.backend)
     result = detect_triangle_rich_edges(network, eps=args.eps, seed=args.seed)
     rich = flagged_rich = 0
     for u, v in planted.graph.edges():
@@ -262,7 +258,7 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
         trials=args.trials,
         progress=progress if (args.verbose or args.progress) else None,
         only=args.only, profile_dir=profile_dir, seed=args.seed,
-        faults=faults, shards=args.shards, trace_dir=trace_dir,
+        faults=faults, trace_dir=trace_dir,
         digest_dir=digest_dir,
     )
     summary = aggregate_suite(result)
@@ -289,9 +285,8 @@ def cmd_suite_run(args: argparse.Namespace) -> int:
         summary, timing=None if args.profile else timing,
         timestamp=time.time(),
         knobs={
-            "backend": args.backend, "shards": args.shards,
-            "workers": args.workers, "trials": args.trials,
-            "only": args.only, "faults": args.faults,
+            "backend": args.backend, "workers": args.workers,
+            "trials": args.trials, "only": args.only, "faults": args.faults,
         },
         digest_dir=digest_dir,
     ))
@@ -374,7 +369,6 @@ def cmd_suite_compare(args: argparse.Namespace) -> int:
             suite, workers=args.workers, backend=args.backend,
             seed=args.seed,
             faults=_parse_faults(args.faults) if args.faults else None,
-            shards=args.shards,
         )
         fresh = aggregate_suite(result)
         fresh_timing = timing_summary(result)
@@ -625,12 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the per-message reference implementation, "
                             "'columnar' the numpy flat-array core)")
 
-    def add_shards_option(p: argparse.ArgumentParser, default: int = 1) -> None:
-        p.add_argument("--shards", type=int, default=default,
-                       help="partition-parallel execution width (results are "
-                            "bit-identical for any count; >1 fans the per-edge "
-                            "similarity sweeps over persistent shard workers)")
-
     color = sub.add_parser("color", help="run the D1LC/D1C/(Δ+1) coloring pipeline")
     color.add_argument("--n", type=int, default=200)
     color.add_argument("--p", type=float, default=0.08)
@@ -642,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the uniform (Section 5) implementations")
     color.add_argument("--seed", type=int, default=0)
     add_backend_option(color)
-    add_shards_option(color)
     color.add_argument("--ledger", choices=["records", "counters"], default="records",
                        help="keep full per-round history or aggregate counters only")
     color.set_defaults(func=cmd_color)
@@ -652,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--p", type=float, default=0.08)
     baseline.add_argument("--seed", type=int, default=0)
     add_backend_option(baseline)
-    add_shards_option(baseline)
     baseline.set_defaults(func=cmd_baseline)
 
     acd = sub.add_parser("acd", help="compute an almost-clique decomposition")
@@ -662,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     acd.add_argument("--uniform", action="store_true")
     acd.add_argument("--seed", type=int, default=0)
     add_backend_option(acd)
-    add_shards_option(acd)
     acd.set_defaults(func=cmd_acd)
 
     triangles = sub.add_parser("triangles", help="local triangle-richness detection")
@@ -670,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     triangles.add_argument("--eps", type=float, default=0.3)
     triangles.add_argument("--seed", type=int, default=0)
     add_backend_option(triangles)
-    add_shards_option(triangles)
     triangles.set_defaults(func=cmd_triangles)
 
     suite = sub.add_parser(
@@ -689,9 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=TRANSPORT_BACKENDS,
                        default=None,
                        help="override every scenario's transport backend")
-        p.add_argument("--shards", type=int, default=None,
-                       help="override every scenario's shard count "
-                            "(bit-identical aggregates for any value)")
         p.add_argument("--seed", type=int, default=None,
                        help="override every scenario's base seed; recorded in "
                             "the aggregate, and suite compare refuses to diff "

@@ -8,7 +8,7 @@ both).  The package splits along the byte-identity seams:
 
 * :mod:`~repro.congest.columnar.kernels` — uint64-array twins of the scalar
   splitmix64 hashing kernels (``mix64_step`` / ``combine_part_keys`` /
-  ``low_unique_values``), pinned bit-for-bit;
+  the ``low_unique_values`` hash draw), pinned bit-for-bit;
 * :mod:`~repro.congest.columnar.buffers` — CSR-offset message round buffers
   (one ``offsets``/``storage`` pair per round, written sender-side, read
   receiver-side in slot order);

@@ -87,19 +87,6 @@ def hash_values_vec(prefixes, keys, lams):
         return np.uint64(1) + mixed % np.asarray(lams, dtype=np.uint64)
 
 
-def low_unique_values_vec(prefix: int, keys, sigma: int, lam: int):
-    """Array twin of ``RepresentativeHashFunction.low_unique_values``.
-
-    Returns the sorted uint64 array of values ``<= sigma`` hit by exactly one
-    key — the set the scalar kernel returns as ``{value: count == 1}``
-    restricted to its True entries.
-    """
-    values = hash_values_vec(_u64(prefix), np.asarray(keys, dtype=np.uint64), _u64(lam))
-    low = values[values <= _u64(sigma)]
-    unique, counts = np.unique(low, return_counts=True)
-    return unique[counts == 1]
-
-
 def element_keys_array(elements: Iterable[object]) -> "np.ndarray":
     """``element_key`` over a collection, as a uint64 array.
 

@@ -86,14 +86,6 @@ class Network:
         Seed for the fault layer's RNG; combined with the plan through the
         repo-wide ``derive_seed`` chain so a fixed (seed, plan) pair
         reproduces byte-identically across backends and processes.
-    shards:
-        Partition-parallel execution width (default 1 = everything in this
-        process).  Like ``backend``/``ledger`` this is a performance knob
-        with no observable effect on results: primitives that know how to
-        shard (the per-edge similarity sweep driving ACD/sparsity/detection
-        — see :mod:`repro.shard`) fan their compute over ``shards``
-        persistent workers, producing bit-identical outputs and charging the
-        identical ledger.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` observing this run.  The
         default is the shared :data:`~repro.obs.tracer.NULL_TRACER`, which
@@ -114,14 +106,10 @@ class Network:
         ledger: Any = None,
         faults: Any = None,
         fault_seed: int = 0,
-        shards: int = 1,
         tracer: Optional[Tracer] = None,
     ):
         if mode not in ("congest", "local"):
             raise ValueError(f"unknown mode: {mode!r}")
-        if int(shards) < 1:
-            raise ValueError(f"shards must be >= 1, got {shards!r}")
-        self.shards = int(shards)
         self.graph = graph
         self.bandwidth_factor = float(bandwidth_factor)
         if isinstance(backend, Transport):

@@ -71,7 +71,6 @@ def solve_instance(
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Run the full D1LC pipeline on a prepared instance.
@@ -103,7 +102,6 @@ def solve_instance(
         ledger=ledger,
         faults=faults,
         fault_seed=params.seed if fault_seed is None else fault_seed,
-        shards=shards,
         tracer=tracer,
     )
     state = ColoringState(instance, network, params)
@@ -141,7 +139,6 @@ def solve_d1lc(
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Solve (degree+1)-list-coloring on ``graph`` (Theorem 1).
@@ -158,7 +155,7 @@ def solve_d1lc(
     return solve_instance(
         instance, params=params, mode=mode, bandwidth_bits=bandwidth_bits,
         seed=seed, backend=backend, ledger=ledger, faults=faults,
-        fault_seed=fault_seed, shards=shards, tracer=tracer,
+        fault_seed=fault_seed, tracer=tracer,
     )
 
 
@@ -172,15 +169,13 @@ def solve_d1c(
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Solve (deg+1)-coloring (Corollary 1)."""
     return solve_instance(
         ColoringInstance.d1c(graph), params=params, mode=mode,
         bandwidth_bits=bandwidth_bits, seed=seed, backend=backend,
-        ledger=ledger, faults=faults, fault_seed=fault_seed, shards=shards,
-        tracer=tracer,
+        ledger=ledger, faults=faults, fault_seed=fault_seed, tracer=tracer,
     )
 
 
@@ -194,13 +189,11 @@ def solve_delta_plus_one(
     ledger: str = "records",
     faults=None,
     fault_seed: Optional[int] = None,
-    shards: int = 1,
     tracer=None,
 ) -> ColoringResult:
     """Solve (Δ+1)-coloring with the same pipeline."""
     return solve_instance(
         ColoringInstance.delta_plus_one(graph), params=params, mode=mode,
         bandwidth_bits=bandwidth_bits, seed=seed, backend=backend,
-        ledger=ledger, faults=faults, fault_seed=fault_seed, shards=shards,
-        tracer=tracer,
+        ledger=ledger, faults=faults, fault_seed=fault_seed, tracer=tracer,
     )

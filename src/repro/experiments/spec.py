@@ -69,11 +69,6 @@ class ScenarioSpec:
     seed: int = 0
     tags: Tuple[str, ...] = ()
     faults: Mapping[str, object] = field(default_factory=dict)
-    #: Partition-parallel execution width — a performance knob exactly like
-    #: ``backend``/``ledger``: it does not feed the seed derivation and does
-    #: not appear in aggregate artifacts, so a sharded run must (and, tested,
-    #: does) produce byte-identical aggregates to a serial one.
-    shards: int = 1
 
     def __post_init__(self):
         # Imported lazily — the registry imports this module at load time.

@@ -208,9 +208,9 @@ class RepresentativeHashFamily:
         """The mixed seed members are derived from.
 
         ``RepresentativeHashFunction(family_seed, index, lam)`` rebuilds
-        ``member(index)`` exactly — the identity the sharded similarity
-        sweep uses to reconstruct members inside compute workers without
-        shipping the family object.
+        ``member(index)`` exactly — the identity the columnar similarity
+        sweep uses to derive every edge's member prefix as array code
+        without building the member objects.
         """
         return self._seed
 

@@ -72,7 +72,7 @@ def run_record(
 ) -> Dict[str, object]:
     """Build one registry record from a run's aggregate (+ optional timing).
 
-    ``knobs`` carries the perf-only execution parameters (backend, shards,
+    ``knobs`` carries the perf-only execution parameters (backend,
     workers, ledger) that the deterministic aggregate deliberately omits —
     here they are exactly the provenance a trend reader wants.
     ``digest_dir`` records where the run wrote its ``DIGEST_*.jsonl``

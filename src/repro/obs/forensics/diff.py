@@ -9,15 +9,15 @@ Three layers, each built on the one below:
   ledger counters, liveness, solver state, or round structure.
 * :func:`bisect_divergence` — re-run both sides' trials in *fine* mode
   over a window around the divergent round (serial, default backend —
-  valid because the digest chain is pinned equal across backends and
-  shard counts) and name the first divergent node and which component
+  valid because the digest chain is pinned equal across backends) and
+  name the first divergent node and which component
   diverged first for it.
 * ``repro diff`` / ``repro report trend`` (:mod:`repro.cli`,
   :mod:`repro.obs.analytics.history`) — the user-facing surfaces.
 
 The bisection re-run is possible because every digest header embeds the
 scenario spec's workload fields (:func:`spec_payload`); performance knobs
-(backend/ledger/shards) are deliberately absent and default on re-run.
+(backend/ledger) are deliberately absent and default on re-run.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def spec_payload(spec) -> Dict[str, Any]:
     """JSON-safe embedding of a spec's workload fields for digest headers.
 
     Everything the seed derivation and the solvers read — and nothing the
-    byte-identity contract says must not matter (backend, ledger, shards,
+    byte-identity contract says must not matter (backend, ledger,
     trial-worker count).  Fault plans embed via their canonical encoding,
     which is JSON-round-trip stable by design.
     """
@@ -64,7 +64,7 @@ def spec_from_payload(payload: Mapping[str, Any]):
     """Rebuild a runnable :class:`ScenarioSpec` from an embedded payload.
 
     Performance knobs revert to their defaults (serial columnar backend) —
-    legitimate, because the digest chain is backend- and shard-neutral.
+    legitimate, because the digest chain is backend-neutral.
     Node identifiers survive only if they are JSON-native (int/str); every
     in-repo graph family uses int nodes.
     """

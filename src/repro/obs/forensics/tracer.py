@@ -10,11 +10,11 @@ protocol and folds, per recorded round, a chained digest over
 * the ledger's round counters (messages, bits, per-edge maximum),
 
 using the commutative multiset accumulators of
-:mod:`repro.obs.forensics.digest`.  The stream is **backend- and
-shard-neutral by construction**: multiset sums ignore delivery order, and
-the header deliberately omits backend/ledger/shard knobs — so two runs of
-the same workload produce byte-identical ``DIGEST_*.jsonl`` streams across
-dict and columnar, shard counts and trial-worker counts.  That is
+:mod:`repro.obs.forensics.digest`.  The stream is **backend-neutral by
+construction**: multiset sums ignore delivery order, and the header
+deliberately omits backend/ledger knobs — so two runs of the same workload
+produce byte-identical ``DIGEST_*.jsonl`` streams across dict and columnar
+and across trial-worker counts.  That is
 what makes a digest diff a *divergence* signal rather than a configuration
 echo.
 
@@ -59,7 +59,7 @@ class DigestTracer(Tracer):
     meta:
         Extra key/value pairs merged into the header event (scenario name,
         trial index, embedded scenario spec for the bisection re-run, ...).
-        Keep perf knobs (backend, shard count, worker count) out of it —
+        Keep perf knobs (backend, ledger, worker count) out of it —
         the stream's value is that those must *not* change it.
     fine_rounds:
         Optional inclusive ``(lo, hi)`` round window; rounds inside it emit
@@ -114,7 +114,7 @@ class DigestTracer(Tracer):
             raise RuntimeError("tracer is closed; build a fresh one per run")
         self._network = network
         add_round_observer(network.ledger, self._on_round)
-        # No backend/ledger/shard fields: the digest stream must be
+        # No backend/ledger fields: the digest stream must be
         # byte-identical across them (that equivalence is the product).
         header: Dict[str, Any] = {
             "type": "header",

@@ -21,7 +21,7 @@ Three pieces:
 **The observation-only contract** (pinned by ``tests/test_obs.py``): a
 tracer consumes no randomness, never mutates ledgers, inboxes, or node
 state, and a traced run is byte-identical to an untraced one on every
-backend, serial and sharded, fault-free and under fault plans.  Tracers may
+backend, fault-free and under fault plans.  Tracers may
 read clocks and process counters — those land in the trace, which is a
 diagnostic artifact, never in the deterministic aggregates.
 

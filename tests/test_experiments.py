@@ -1,7 +1,9 @@
 """Tests for the experiment orchestration subsystem (repro.experiments)."""
 
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -579,3 +581,46 @@ class TestPeakRss:
         data = load_suite_timing(path)
         assert "peak_rss_mb" not in data["suites"]["legacy"]
         assert data["suites"]["fresh"]["peak_rss_mb"] == {"b": 64.0}
+
+
+def _load_bench_massive():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_massive.py"
+    spec = importlib.util.spec_from_file_location("bench_massive", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchMassive:
+    """The massive-tier driver's rows and its validity gate (no real run)."""
+
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        module = _load_bench_massive()
+        outcomes = {}
+
+        def fake_scenario(name, workers, backend="columnar", progress=False,
+                          trace_dir=None):
+            row = {"n": 10, "m": 12, "rounds": 3, "valid": outcomes[name]}
+            return 1.5, {"row": row, "peak_rss_mb": 64.0}
+
+        monkeypatch.setattr(module, "_measure_scenario", fake_scenario)
+        return module, outcomes
+
+    def test_valid_rows_written_with_serial_columns(self, bench, tmp_path):
+        module, outcomes = bench
+        outcomes["massive-gnp-n50000-d1c"] = True
+        assert module.main(["--only", "massive-gnp-n50000-d1c",
+                            "--out", str(tmp_path)]) == 0
+        snapshot = json.loads((tmp_path / module.SNAPSHOT_FILENAME).read_text())
+        row = snapshot["scenarios"]["massive-gnp-n50000-d1c"]
+        assert set(row) == {"n", "m", "rounds", "valid", "backend", "cpus",
+                            "serial_wall_s", "serial_peak_rss_mb"}
+        assert row["valid"] is True and row["backend"] == "columnar"
+
+    def test_invalid_row_fails_without_snapshot(self, bench, tmp_path):
+        module, outcomes = bench
+        outcomes["massive-gnp-n50000-d1c"] = True
+        outcomes["massive-ring-n50000-d1lc"] = False
+        assert module.main(["--smoke", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / module.SNAPSHOT_FILENAME).exists()

@@ -1,8 +1,8 @@
 """Tests for the observability subsystem (repro.obs).
 
 The headline contract here is **observation-only tracing**: a traced run is
-byte-identical to an untraced one on every transport backend, serial and
-sharded, fault-free and under fault plans.  The rest covers the trace event
+byte-identical to an untraced one on every transport backend, fault-free and
+under fault plans.  The rest covers the trace event
 stream, the JSONL artifacts, phase-timeline summaries, heartbeats, resource
 sampling, and the suite runner / CLI integration.
 """
@@ -192,13 +192,11 @@ class TestRoundTracer:
 
 class TestObservationOnly:
     @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_traced_solve_identical(self, backend, shards):
+    def test_traced_solve_identical(self, backend):
         graph = nx.gnm_random_graph(30, 80, seed=11)
-        plain = solve_d1c(graph, seed=4, backend=backend, shards=shards)
+        plain = solve_d1c(graph, seed=4, backend=backend)
         tracer = RoundTracer()
-        traced = solve_d1c(graph, seed=4, backend=backend, shards=shards,
-                           tracer=tracer)
+        traced = solve_d1c(graph, seed=4, backend=backend, tracer=tracer)
         tracer.close()
         assert traced.coloring == plain.coloring
         assert (traced.rounds, traced.total_bits, traced.max_edge_bits) == (

@@ -23,9 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.congest.columnar.sweep as sweep_mod
-import repro.shard.sweep as shard_sweep_mod
 from repro.congest import Network
-from repro.graphs import ring_of_cliques
+from repro.graphs import (
+    gnp_fast_graph, planted_almost_cliques, power_law_graph,
+    random_geometric_graph, ring_of_cliques,
+)
 from repro.graphs.generators import triangle_rich_graph
 from repro.obs.forensics import DigestTracer
 from repro.sampling import (
@@ -60,6 +62,25 @@ def kernel_calls(monkeypatch):
 def _graph():
     return triangle_rich_graph(n=60, background_p=0.06, planted_cliques=2,
                                clique_size=14, seed=5).graph
+
+
+#: Graph shapes every raw-sweep comparison runs on: the triangle-rich default
+#: plus sparse G(n, p), geometric, heavy-tailed and planted almost-cliques.
+FAMILIES = {
+    "triangle-rich": _graph,
+    "gnp_fast": lambda: gnp_fast_graph(60, avg_degree=6.0, seed=3),
+    "geometric": lambda: random_geometric_graph(60, 0.22, seed=5),
+    "power_law": lambda: power_law_graph(60, 3, seed=11),
+    "planted": lambda: planted_almost_cliques(
+        num_cliques=3, clique_size=12, num_sparse=10, seed=13).graph,
+}
+
+#: Fault plans the sweep must stay identical under; crashing nodes in round 1
+#: silences them in the indicator exchange.
+FAULT_PLANS = {
+    "drop-corrupt": {"drop": 0.1, "corrupt": 1e-3},
+    "crash": {"crash": {1: (0, 7, 13)}},
+}
 
 
 def _neighborhoods(graph):
@@ -104,8 +125,9 @@ def _mixed_scale_instance():
 
 
 class TestCallerEquivalence:
-    def test_raw_sweep(self, kernel_calls):
-        graph = _graph()
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_raw_sweep(self, kernel_calls, family):
+        graph = FAMILIES[family]()
         sets = _neighborhoods(graph)
         outputs, networks = _run_all(graph, lambda net: _items(
             estimate_similarity_on_edges(net, sets, params=PARAMS, seed=9)))
@@ -238,16 +260,21 @@ class TestDeclinePaths:
             net, sets, list(graph.edges()), PARAMS, 9, "x") is None
         assert net.ledger.rounds == 0
 
-    def test_fault_plan(self):
-        graph = _graph()
+    @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fault_plan(self, family, plan):
+        graph = FAMILIES[family]()
         sets = _neighborhoods(graph)
-        faults = {"drop": 0.1, "corrupt": 1e-3}
         outputs, networks = _run_all(graph, lambda net: _items(
             estimate_similarity_on_edges(net, sets, params=PARAMS, seed=9)),
-            faults=faults)
+            faults=FAULT_PLANS[plan], fault_seed=13)
         _assert_same(outputs, networks)
         assert networks[-1].backend == "columnar+faults"
-        assert networks[-1].transport.fault_stats == networks[0].transport.fault_stats
+        stats = networks[0].fault_stats
+        assert networks[-1].fault_stats == stats
+        # The plan really perturbed the sweep.
+        assert stats["dropped_messages"] + stats["corrupted_messages"] + \
+            stats["crashed_nodes"] > 0
 
     def test_lambda_beyond_packing_range(self, kernel_calls):
         graph = ring_of_cliques(3, 5)
@@ -259,24 +286,6 @@ class TestDeclinePaths:
             estimate_similarity_on_edges(net, sets, params=params, seed=2)))
         _assert_same(outputs, networks)
         assert kernel_calls == {"ran": 0, "declined": 1}
-
-    def test_sharded_columnar_takes_the_kernel(self, kernel_calls, monkeypatch):
-        monkeypatch.setattr(shard_sweep_mod, "MIN_SHARDED_WORK", 0)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the shard pool must not run on columnar")
-
-        monkeypatch.setattr(shard_sweep_mod, "sharded_edge_hashes", no_pool)
-        graph = _graph()
-        sets = _neighborhoods(graph)
-        reference = Network(graph, backend="dict", ledger="records")
-        expected = _items(estimate_similarity_on_edges(reference, sets,
-                                                       params=PARAMS, seed=9))
-        net = Network(graph, backend="columnar", ledger="records", shards=2)
-        got = _items(estimate_similarity_on_edges(net, sets, params=PARAMS, seed=9))
-        assert got == expected
-        assert net.ledger.records == reference.ledger.records
-        assert kernel_calls == {"ran": 1, "declined": 0}
 
 
 class TestScalePaths:

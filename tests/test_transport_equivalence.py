@@ -21,6 +21,7 @@ from repro.congest.transport import EMPTY_INBOX
 from repro.core import solve_d1c, solve_d1lc
 from repro.graphs import (
     degree_plus_one_lists,
+    gnp_fast_graph,
     gnp_graph,
     planted_almost_cliques,
     power_law_graph,
@@ -193,6 +194,7 @@ class TestViolationParity:
 #: including the ``scale`` suite's families at test-sized n.
 GRAPH_FAMILIES = {
     "gnp": lambda: gnp_graph(60, 0.12, seed=5),
+    "gnp-fast": lambda: gnp_fast_graph(60, avg_degree=6.0, seed=3),
     "planted-cliques": lambda: planted_almost_cliques(
         num_cliques=3, clique_size=12, num_sparse=8, seed=3
     ).graph,
