@@ -19,6 +19,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["color", "--problem", "rainbow"])
 
+    @pytest.mark.parametrize("command", [
+        ["color"], ["baseline"], ["acd"], ["triangles"],
+        ["suite", "run", "smoke"], ["suite", "compare", "smoke"],
+    ], ids=" ".join)
+    def test_shards_option_rejected(self, command):
+        # Every sweep runs serially; a stale --shards is an error, not a
+        # silently ignored knob.
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--shards", "2"])
+
 
 class TestCommands:
     def test_color_d1c(self, capsys):

@@ -624,3 +624,34 @@ class TestBenchMassive:
         outcomes["massive-ring-n50000-d1lc"] = False
         assert module.main(["--smoke", "--out", str(tmp_path)]) == 1
         assert not (tmp_path / module.SNAPSHOT_FILENAME).exists()
+
+    def test_same_schema_snapshot_keeps_other_tiers(self, bench, tmp_path):
+        module, outcomes = bench
+        outcomes["massive-gnp-n50000-d1c"] = True
+        earlier = {"valid": True, "serial_wall_s": 99.0}
+        (tmp_path / module.SNAPSHOT_FILENAME).write_text(json.dumps({
+            "schema": module.SCHEMA,
+            "scenarios": {"massive-gnp-n500000-d1c": earlier,
+                          "massive-gnp-n50000-d1c": {"valid": True}},
+        }))
+        assert module.main(["--only", "massive-gnp-n50000-d1c",
+                            "--out", str(tmp_path)]) == 0
+        scenarios = json.loads(
+            (tmp_path / module.SNAPSHOT_FILENAME).read_text())["scenarios"]
+        assert scenarios["massive-gnp-n500000-d1c"] == earlier
+        assert scenarios["massive-gnp-n50000-d1c"]["serial_wall_s"] == 1.5
+
+    def test_old_schema_snapshot_is_replaced(self, bench, tmp_path):
+        # Rows of the sharded schema carry columns this run no longer
+        # measures, so they are dropped rather than merged.
+        module, outcomes = bench
+        outcomes["massive-gnp-n50000-d1c"] = True
+        (tmp_path / module.SNAPSHOT_FILENAME).write_text(json.dumps({
+            "schema": "repro-massive/1",
+            "scenarios": {"massive-gnp-n500000-d1c": {"speedup": 1.08}},
+        }))
+        assert module.main(["--only", "massive-gnp-n50000-d1c",
+                            "--out", str(tmp_path)]) == 0
+        snapshot = json.loads((tmp_path / module.SNAPSHOT_FILENAME).read_text())
+        assert snapshot["schema"] == module.SCHEMA
+        assert list(snapshot["scenarios"]) == ["massive-gnp-n50000-d1c"]

@@ -7,6 +7,7 @@ stream, the JSONL artifacts, phase-timeline summaries, heartbeats, resource
 sampling, and the suite runner / CLI integration.
 """
 
+import functools
 import io
 import json
 import time
@@ -15,7 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import Network
-from repro.core import solve_d1c
+from repro.core import solve_d1c, solve_d1lc
 from repro.experiments import (
     aggregate_suite,
     canonical_dumps,
@@ -23,6 +24,7 @@ from repro.experiments import (
     run_scenarios,
     run_traced_trial,
 )
+from repro.graphs import degree_plus_one_lists
 from repro.obs import (
     NULL_TRACER,
     TRACE_SCHEMA,
@@ -192,11 +194,17 @@ class TestRoundTracer:
 
 class TestObservationOnly:
     @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_traced_solve_identical(self, backend):
+    @pytest.mark.parametrize("problem", ["d1c", "d1lc"])
+    def test_traced_solve_identical(self, problem, backend):
         graph = nx.gnm_random_graph(30, 80, seed=11)
-        plain = solve_d1c(graph, seed=4, backend=backend)
+        if problem == "d1c":
+            solve = functools.partial(solve_d1c, graph)
+        else:
+            solve = functools.partial(solve_d1lc, graph,
+                                      degree_plus_one_lists(graph, seed=2))
+        plain = solve(seed=4, backend=backend)
         tracer = RoundTracer()
-        traced = solve_d1c(graph, seed=4, backend=backend, tracer=tracer)
+        traced = solve(seed=4, backend=backend, tracer=tracer)
         tracer.close()
         assert traced.coloring == plain.coloring
         assert (traced.rounds, traced.total_bits, traced.max_edge_bits) == (

@@ -65,9 +65,11 @@ def _graph():
 
 
 #: Graph shapes every raw-sweep comparison runs on: the triangle-rich default
-#: plus sparse G(n, p), geometric, heavy-tailed and planted almost-cliques.
+#: plus sparse G(n, p), geometric, heavy-tailed, planted almost-cliques and a
+#: ring of cliques.
 FAMILIES = {
     "triangle-rich": _graph,
+    "ring-of-cliques": lambda: ring_of_cliques(5, 7),
     "gnp_fast": lambda: gnp_fast_graph(60, avg_degree=6.0, seed=3),
     "geometric": lambda: random_geometric_graph(60, 0.22, seed=5),
     "power_law": lambda: power_law_graph(60, 3, seed=11),
@@ -75,9 +77,12 @@ FAMILIES = {
         num_cliques=3, clique_size=12, num_sparse=10, seed=13).graph,
 }
 
-#: Fault plans the sweep must stay identical under; crashing nodes in round 1
-#: silences them in the indicator exchange.
+#: Fault plans the sweep must stay identical under, each kind alone and drops
+#: with corruption together; crashing nodes in round 1 silences them in the
+#: indicator exchange.
 FAULT_PLANS = {
+    "drop": {"drop": 0.15},
+    "corrupt": {"corrupt": 0.02},
     "drop-corrupt": {"drop": 0.1, "corrupt": 1e-3},
     "crash": {"crash": {1: (0, 7, 13)}},
 }
@@ -125,12 +130,13 @@ def _mixed_scale_instance():
 
 
 class TestCallerEquivalence:
+    @pytest.mark.parametrize("params", [PARAMS, MIXED], ids=["practical", "mixed"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_raw_sweep(self, kernel_calls, family):
+    def test_raw_sweep(self, kernel_calls, family, params):
         graph = FAMILIES[family]()
         sets = _neighborhoods(graph)
         outputs, networks = _run_all(graph, lambda net: _items(
-            estimate_similarity_on_edges(net, sets, params=PARAMS, seed=9)))
+            estimate_similarity_on_edges(net, sets, params=params, seed=9)))
         _assert_same(outputs, networks)
         assert kernel_calls == {"ran": 1, "declined": 0}
 

@@ -251,7 +251,7 @@ class TestEndToEndEquivalence:
             assert a.rounds_by_phase == b.rounds_by_phase, backend
             assert b.is_valid, backend
 
-    @pytest.mark.parametrize("family", ["gnp", "geometric", "ring-of-cliques"])
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
     def test_d1lc_identical_across_backends(self, family):
         graph = GRAPH_FAMILIES[family]()
         lists = degree_plus_one_lists(graph, seed=9)
